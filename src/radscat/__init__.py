@@ -15,14 +15,12 @@ from .solution import (
     solve_regular,
 )
 from .spectral import (
-    EigenfunctionFamily,
     Family,
     JostPair,
     PoleError,
     SMatrixValue,
     eigenfunction,
     energy_transform,
-    family,
     jost,
     measure,
     s_matrix,

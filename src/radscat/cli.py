@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -20,15 +19,16 @@ from scipy.integrate import simpson
 
 from . import __version__
 from .criterion import SYMMETRY_RTOL, GridSpec, classify_eigensolution
-from .potential import PhysicalScale, Potential, sqrt_branch
+from .potential import PhysicalScale, Potential
 from .resonance import (
+    ContourError,
     IllConditionedResidueError,
     MissedRootsError,
     Region,
     find_resonances,
     gamow_eigenfunction,
 )
-from .spectral import Family, PoleError, eigenfunction, energy_transform, jost, s_matrix
+from .spectral import Family, PoleError, eigenfunction, energy_transform, jost, measure, s_matrix
 from .verification import smeared_delta_check
 
 EXIT_OK = 0
@@ -82,6 +82,31 @@ def _need(sec: dict, key: str, section: str):
     return sec[key]
 
 
+def _number(sec: dict, key: str, section: str, default=None, cast=float):
+    """sec[key] converted by ``cast``; the key is required when no default is given."""
+    value = _need(sec, key, section) if default is None else sec.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"key '{key}' in config section '{section}' must be a number, got {value!r}"
+        ) from exc
+
+
+def _region(sec: dict, section: str) -> Region:
+    """The section's fourth-quadrant search rectangle in the k plane."""
+    reg = _need(sec, "region", section)
+    try:
+        region = Region(float(reg["re_min"]), float(reg["re_max"]),
+                        float(reg["im_min"]), float(reg["im_max"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid region in config section '{section}': {exc}") from exc
+    if region.re_min < 0 or region.im_max > 0:
+        raise ConfigError(f"region in config section '{section}' must lie in "
+                          "Re k >= 0, Im k <= 0")
+    return region
+
+
 def _tolerances(pairs: list[str]) -> dict[str, float]:
     tols = {}
     for item in pairs or []:
@@ -115,9 +140,9 @@ def _emit_record(out, header: str, record: dict):
 
 def cmd_smatrix(cfg, scale, pot, tols):
     sec = _section(cfg, "smatrix")
-    k = np.linspace(float(_need(sec, "k_min", "smatrix")),
-                    float(_need(sec, "k_max", "smatrix")),
-                    int(sec.get("n_k", 200)))
+    k = np.linspace(_number(sec, "k_min", "smatrix"),
+                    _number(sec, "k_max", "smatrix"),
+                    _number(sec, "n_k", "smatrix", 200, int))
     if k[0] <= 0:
         raise ConfigError("smatrix k grid must be positive")
     rows = []
@@ -131,13 +156,8 @@ def cmd_smatrix(cfg, scale, pot, tols):
 
 def cmd_resonances(cfg, scale, pot, tols):
     sec = _section(cfg, "resonances")
-    reg = _need(sec, "region", "resonances")
-    try:
-        region = Region(float(reg["re_min"]), float(reg["re_max"]),
-                        float(reg["im_min"]), float(reg["im_max"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid resonance region: {exc}") from exc
-    states = find_resonances(pot, scale, region, max_states=int(sec.get("max_states", 50)))
+    states = find_resonances(pot, scale, _region(sec, "resonances"),
+                             max_states=_number(sec, "max_states", "resonances", 50, int))
     rows = []
     for n, st in enumerate(states, start=1):
         rows.append((n, float(st.k_pole.real), float(st.k_pole.imag),
@@ -149,15 +169,12 @@ def cmd_resonances(cfg, scale, pot, tols):
 def cmd_eigenfunction(cfg, scale, pot, tols):
     sec = _section(cfg, "eigenfunction")
     fam = _need(sec, "family", "eigenfunction")
-    r = np.linspace(float(sec.get("r_min", 0.0)),
-                    float(_need(sec, "r_max", "eigenfunction")),
-                    int(sec.get("n_r", 200)))
+    r = np.linspace(_number(sec, "r_min", "eigenfunction", 0.0),
+                    _number(sec, "r_max", "eigenfunction"),
+                    _number(sec, "n_r", "eigenfunction", 200, int))
     if fam == "gamow":
-        reg = _need(sec, "region", "eigenfunction")
-        region = Region(float(reg["re_min"]), float(reg["re_max"]),
-                        float(reg["im_min"]), float(reg["im_max"]))
-        states = find_resonances(pot, scale, region)
-        idx = int(_need(sec, "pole_index", "eigenfunction"))
+        states = find_resonances(pot, scale, _region(sec, "eigenfunction"))
+        idx = _number(sec, "pole_index", "eigenfunction", cast=int)
         if not 1 <= idx <= len(states):
             raise ConfigError(f"pole_index {idx} out of range 1..{len(states)}")
         psi = gamow_eigenfunction(states[idx - 1], r)
@@ -166,7 +183,7 @@ def cmd_eigenfunction(cfg, scale, pot, tols):
             kind = Family(fam)
         except ValueError as exc:
             raise ConfigError(f"unknown family '{fam}'") from exc
-        energy = float(_need(sec, "energy", "eigenfunction"))
+        energy = _number(sec, "energy", "eigenfunction")
         if energy <= 0:
             raise ConfigError("eigenfunction energy must be positive")
         psi = eigenfunction(kind, pot, scale, energy, r)
@@ -181,12 +198,11 @@ def cmd_criterion(cfg, scale, pot, tols):
         kind = Family(fam)
     except ValueError as exc:
         raise ConfigError(f"unknown criterion label '{fam}'") from exc
-    gs = sec.get("grid", {})
-    grid = GridSpec(
-        re_min=float(gs.get("re_min", 0.1)), re_max=float(gs.get("re_max", 20.0)),
-        im_min=float(gs.get("im_min", -5.0)), im_max=float(gs.get("im_max", 5.0)),
-        n_re=int(gs.get("n_re", 80)), n_im=int(gs.get("n_im", 80)),
-    )
+    gs = _section(sec, "grid")
+    casts = {"re_min": float, "re_max": float, "im_min": float, "im_max": float,
+             "n_re": int, "n_im": int}
+    grid = GridSpec(**{key: _number(gs, key, "criterion.grid", cast=cast)
+                       for key, cast in casts.items() if key in gs})
     rtol = tols.get("symmetry", SYMMETRY_RTOL)
     rep = classify_eigensolution(kind, pot, scale, grid, rtol=rtol)
     record = {
@@ -216,32 +232,31 @@ def cmd_verify(cfg, scale, pot, tols):
     rs = np.linspace(0.0, 3 * pot.outer_radius, 20)
     worst = 0.0
     for e in es:
-        s = s_matrix(pot, scale, sqrt_branch(scale.kappa * e).real).s
+        s = s_matrix(pot, scale, scale.wavenumber(e).real).s
         d = np.abs(eigenfunction(Family.IN, pot, scale, e, rs)
                    - s * eigenfunction(Family.OUT, pot, scale, e, rs))
         worst = max(worst, float(d.max()))
     checks.append(("proportionality", worst, prop_tol))
 
-    # 4 rho |J4|^2 == rho+
+    # rho |Jplus|^2 == rho+, i.e. 4 rho |J4|^2 == rho+
     meas_tol = tols.get("measure_identity", 1e-12)
     worst = 0.0
     for k in np.linspace(0.1, 10.0, 200):
-        from .solution import solve_regular
-        _, j4 = solve_regular(pot, scale, k).exterior_amplitudes
-        rho = scale.kappa / (4 * math.pi * k * abs(j4) ** 2)
-        rho_p = scale.kappa / (math.pi * k)
-        worst = max(worst, abs(4 * rho * abs(j4) ** 2 - rho_p) / rho_p)
+        rho = measure(Family.STANDING_WAVE, pot, scale, k)
+        rho_p = measure(Family.IN, pot, scale, k)
+        j_plus = jost(pot, scale, k).j_plus
+        worst = max(worst, abs(rho * abs(j_plus) ** 2 - rho_p) / rho_p)
     checks.append(("measure_identity", worst, meas_tol))
 
     # smeared delta-normalization per family
     delta_tol = tols.get("smeared_delta", 1e-3)
-    center = float(sec.get("g_center", 16.0))
-    width = float(sec.get("g_width", 2.0))
-    r_max = sec.get("r_max")
+    center = _number(sec, "g_center", "verify", 16.0)
+    width = _number(sec, "g_width", "verify", 2.0)
+    r_max = _number(sec, "r_max", "verify") if sec.get("r_max") else None
     failed_convergence = False
     for fam in Family:
         rep = smeared_delta_check(fam, pot, scale, center, width,
-                                  r_max=float(r_max) if r_max else None)
+                                  r_max=r_max)
         checks.append((f"smeared_delta_{fam.value}", rep.relative_error, delta_tol))
         failed_convergence |= not rep.converged
 
@@ -259,20 +274,21 @@ def cmd_transform(cfg, scale, pot, tols):
     except ValueError as exc:
         raise ConfigError(f"unknown family '{fam}'") from exc
     psi_spec = _need(sec, "psi", "transform")
-    r_max = float(sec.get("r_max", 10 * pot.outer_radius))
-    n_r = int(sec.get("n_r", 2001))
+    r_max = _number(sec, "r_max", "transform", 10 * pot.outer_radius)
+    n_r = _number(sec, "n_r", "transform", 2001, int)
     r = np.linspace(0.0, r_max, n_r)
     try:
         center = float(psi_spec["center"])
         width = float(psi_spec["width"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"psi spec needs 'center' and 'width': {exc}") from exc
+        k0 = float(psi_spec["k0"]) if "k0" in psi_spec else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"psi spec needs numeric 'center' and 'width': {exc}") from exc
     psi = np.exp(-((r - center) ** 2) / (2 * width ** 2))
-    if "k0" in psi_spec:
-        psi = psi * np.exp(1j * float(psi_spec["k0"]) * r)
-    e_grid = np.linspace(float(_need(sec, "e_min", "transform")),
-                         float(_need(sec, "e_max", "transform")),
-                         int(sec.get("n_e", 400)))
+    if k0 is not None:
+        psi = psi * np.exp(1j * k0 * r)
+    e_grid = np.linspace(_number(sec, "e_min", "transform"),
+                         _number(sec, "e_max", "transform"),
+                         _number(sec, "n_e", "transform", 400, int))
     coeffs = energy_transform(kind, pot, scale, psi, r_max, e_grid)
     rows = [(float(e), float(c.real), float(c.imag)) for e, c in zip(e_grid, coeffs)]
     return ["E", "re_coeff", "im_coeff"], rows, None
@@ -298,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file (docs/SCHEMA.md)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=["csv", "record"], default=None)
         p.add_argument("--tolerance", action="append", default=[],
                        metavar="NAME=VALUE", help="override a named tolerance")
     return parser
@@ -314,7 +329,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MissedRootsError, IllConditionedResidueError, PoleError) as exc:
+    except (MissedRootsError, IllConditionedResidueError, ContourError, PoleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

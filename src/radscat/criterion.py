@@ -14,9 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .potential import PhysicalScale, Potential, sqrt_branch
-from .solution import solve_regular
-from .spectral import Family
+from .potential import PhysicalScale, Potential
+from .spectral import Family, family_factor, jost, scattering_density, standing_density
 
 #: classification threshold, scaled by (1 + max|f|) on the grid
 SYMMETRY_RTOL = 1e-10
@@ -102,42 +101,33 @@ def check_symmetry(
     )
 
 
-def _j34(pot: Potential, scale: PhysicalScale, energy: complex) -> tuple[complex, complex]:
-    k = sqrt_branch(scale.kappa * energy)
-    return solve_regular(pot, scale, k).exterior_amplitudes
-
-
 def standing_measure_continued(pot: Potential, scale: PhysicalScale, energy: complex) -> complex:
-    """rho(E) off the real axis.
+    """rho(E) continued off the real axis: ``spectral.standing_density`` at k(E).
 
     |J4|^2 is not analytic; the continuation J4(k) * conj(J4(conj(k))) agrees
-    with it on the real line and keeps rho conjugation-symmetric.
+    with it on the real line, keeps rho conjugation-symmetric and costs one
+    solve.
     """
-    k = sqrt_branch(scale.kappa * complex(energy))
-    _, j4 = solve_regular(pot, scale, k).exterior_amplitudes
-    _, j4c = solve_regular(pot, scale, k.conjugate()).exterior_amplitudes
-    return scale.kappa / (4 * math.pi * k * (j4 * j4c.conjugate()))
+    return standing_density(scale, jost(pot, scale, scale.wavenumber(energy)))
 
 
 def scattering_measure_continued(scale: PhysicalScale, energy: complex) -> complex:
     """rho+(E) = rho-(E) continued off the real axis."""
-    k = sqrt_branch(scale.kappa * complex(energy))
-    return scale.kappa / (math.pi * k)
+    return scattering_density(scale, scale.wavenumber(energy))
 
 
 def eigensolution_factor(
     kind: Family, pot: Potential, scale: PhysicalScale
 ) -> Callable[[complex], complex]:
-    """The energy-dependent factor multiplying chi for the given family."""
+    """The energy-dependent factor multiplying chi for the given family.
+
+    The same ``spectral.family_factor`` that builds the eigenfunctions, at
+    complex energy.
+    """
     kind = Family(kind)
 
     def f(energy: complex) -> complex:
-        if kind == Family.STANDING_WAVE:
-            return sqrt_branch(standing_measure_continued(pot, scale, energy))
-        root = sqrt_branch(scattering_measure_continued(scale, energy))
-        j3, j4 = _j34(pot, scale, energy)
-        denom = -2j * j4 if kind == Family.IN else 2j * j3
-        return root / denom
+        return family_factor(kind, scale, jost(pot, scale, scale.wavenumber(energy)))
 
     return f
 

@@ -151,18 +151,16 @@ def _winding_jittered(f, region: Region, max_tries: int = 6) -> tuple[Region, in
     raise ContourError(f"could not compute a clean winding number over {region}")
 
 
-def _richardson_derivative(f, k: complex, h: float | None = None) -> complex:
-    h = h if h is not None else 1e-6 * max(1.0, abs(k))
-    d1 = (f(k + h) - f(k - h)) / (2 * h)
-    d2 = (f(k + h / 2) - f(k - h / 2)) / h
-    return (4 * d2 - d1) / 3
+def _derivative(f, k: complex, h: float) -> complex:
+    """Five-point central difference f'(k), error O(h^4)."""
+    return (-f(k + 2 * h) + 8 * f(k + h) - 8 * f(k - h) + f(k - 2 * h)) / (12 * h)
 
 
 def _newton(f, k0: complex, leash: float, rtol: float = 1e-13) -> complex | None:
     k = k0
     for _ in range(60):
         fk = f(k)
-        d = _richardson_derivative(f, k)
+        d = _derivative(f, k, 5e-7 * max(1.0, abs(k)))
         if d == 0:
             return None
         step = fk / d
@@ -307,9 +305,7 @@ def residue_norm(
     def jp(k):
         return jost(pot, scale, k).j_plus
 
-    h = 1e-5 * max(1.0, abs(k_pole))
-    djp = (-jp(k_pole + 2 * h) + 8 * jp(k_pole + h)
-           - 8 * jp(k_pole - h) + jp(k_pole - 2 * h)) / (12 * h)
+    djp = _derivative(jp, k_pole, 1e-5 * max(1.0, abs(k_pole)))
     res_deriv = jost(pot, scale, k_pole).j_minus / djp
 
     scale_ref = max(abs(res_contour), abs(res_deriv))

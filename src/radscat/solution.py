@@ -18,6 +18,18 @@ import numpy as np
 from .potential import PhysicalScale, Potential, local_wavenumber
 
 
+def _shift(q: complex, a_out: complex, a_in: complex, dr: float) -> tuple[complex, complex, float]:
+    """Amplitudes re-referenced a distance dr to the right, in log-scaled form.
+
+    Returns (a_out e^{iq dr}, a_in e^{-iq dr}) divided by e^m, and m: the
+    larger of the two growth exponents moves into the log scale.
+    """
+    g = -q.imag * dr  # growth exponent of the outgoing term over dr
+    m = abs(g)
+    phase = 1j * q.real * dr
+    return a_out * cmath.exp(phase + (g - m)), a_in * cmath.exp(-phase + (-g - m)), m
+
+
 @dataclass(frozen=True)
 class LayerWave:
     """Amplitudes of one layer in left-edge-referenced, log-scaled form.
@@ -39,15 +51,20 @@ class LayerWave:
         """
         if self.q == 0:
             return (self.a_out + self.a_in * dr, self.a_in, self.log_scale)
-        # growth exponent of the outgoing term over dr
-        g = -self.q.imag * float(dr)
-        m = abs(g)
-        phase = 1j * self.q.real * float(dr)
-        t_out = self.a_out * cmath.exp(phase + (g - m))
-        t_in = self.a_in * cmath.exp(-phase + (-g - m))
+        t_out, t_in, m = _shift(self.q, self.a_out, self.a_in, float(dr))
         v = t_out + t_in
         dv = 1j * self.q * (t_out - t_in)
         return v, dv, self.log_scale + m
+
+
+def _global_amplitudes(w: LayerWave) -> tuple[complex, complex]:
+    """(c_out, c_in) of one layer with chi = c_out e^{i q r} + c_in e^{-i q r}."""
+    s = cmath.exp(w.log_scale)
+    if w.q == 0:
+        # basis {1, r}: constant term re-referenced to the origin
+        return s * (w.a_out - w.a_in * w.r_left), s * w.a_in
+    rot = 1j * w.q * w.r_left
+    return s * w.a_out * cmath.exp(-rot), s * w.a_in * cmath.exp(rot)
 
 
 @dataclass(frozen=True)
@@ -67,21 +84,12 @@ class LayerSolution:
 
     @property
     def layer_amplitudes(self) -> tuple[tuple[complex, complex], ...]:
-        out = []
-        for w in self.layers:
-            s = cmath.exp(w.log_scale)
-            if w.q == 0:
-                # basis {1, r}: constant term re-referenced to the origin
-                out.append((s * (w.a_out - w.a_in * w.r_left), s * w.a_in))
-            else:
-                rot = 1j * w.q * w.r_left
-                out.append((s * w.a_out * cmath.exp(-rot), s * w.a_in * cmath.exp(rot)))
-        return tuple(out)
+        return tuple(_global_amplitudes(w) for w in self.layers)
 
     @property
     def exterior_amplitudes(self) -> tuple[complex, complex]:
         """(c_out, c_in) of the exterior layer: the shell's (J3, J4)."""
-        return self.layer_amplitudes[-1]
+        return _global_amplitudes(self.layers[-1])
 
 
 def solve_regular(pot: Potential, scale: PhysicalScale, k: complex) -> LayerSolution:
@@ -110,16 +118,9 @@ def solve_regular(pot: Potential, scale: PhysicalScale, k: complex) -> LayerSolu
             # no height change across this breakpoint: shift the reference
             # point multiplicatively instead of re-fitting from (chi, chi'),
             # which would amplify rounding by the layer's growth factor
-            dr = r_i - prev.r_left
-            g = -q.imag * dr
-            m = abs(g)
-            phase = 1j * q.real * dr
-            layers.append(LayerWave(
-                q=q, r_left=r_i,
-                a_out=prev.a_out * cmath.exp(phase + (g - m)),
-                a_in=prev.a_in * cmath.exp(-phase + (-g - m)),
-                log_scale=prev.log_scale + m,
-            ))
+            a_out, a_in, m = _shift(q, prev.a_out, prev.a_in, r_i - prev.r_left)
+            layers.append(LayerWave(q=q, r_left=r_i, a_out=a_out, a_in=a_in,
+                                    log_scale=prev.log_scale + m))
             continue
         v, dv, ls = prev.values_at(r_i - prev.r_left)
         if q == 0:

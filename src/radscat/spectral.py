@@ -1,7 +1,32 @@
 """Jost functions, S-matrix, spectral measures and delta-normalized families.
 
-Three continuum eigenfunction families share the same radial shape chi(r;k)
-and differ only by the energy-dependent factor in front of it:
+This module is the single home of the conventions; every other module calls
+the definitions below instead of restating them.
+
+Jost functions.  With (J3, J4) the outgoing/incoming exterior amplitudes of
+the regular solution chi(r;k) (``LayerSolution.exterior_amplitudes``),
+
+    Jplus = -2i J4,   Jminus = 2i J3,   S = Jminus / Jplus.
+
+Spectral measures.  For the scattering families
+
+    rho+(k) = rho-(k) = kappa / (pi k),
+
+analytic in k.  For the standing-wave family
+
+    rho(k) = kappa / (pi k Jplus(k) conj(Jplus(conj k))).
+
+On the physical line this is the measure kappa / (4 pi k |J4|^2).  Off the
+real axis conj(Jplus(conj k)) = Jminus(k) (the conjugation identity
+conj(J4(conj k)) = J3(k)), so the continuation kappa / (pi k Jplus Jminus)
+needs one solve.  On the real axis the conjugate is taken directly: chi
+starts as sin(q0 r) with q0 = sqrt(k^2 - kappa V_0), whose branch jumps
+across the real segment k^2 < kappa V_0 of a positive innermost height V_0,
+and there Jminus = -conj(Jplus).
+
+Families.  The three continuum families share the radial shape chi(r;k) and
+differ only by the energy-dependent factor in front of it
+(``family_factor``):
 
     standing wave:  sqrt(rho(k)) chi(r;k)
     in:             sqrt(rho+(k)) chi(r;k) / Jplus(k)
@@ -14,13 +39,13 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import simpson
 
 from .potential import PhysicalScale, Potential, sqrt_branch
-from .solution import evaluate_chi, solve_regular
+from .solution import LayerSolution, evaluate_chi, solve_regular
 
 
 class Family(str, enum.Enum):
@@ -46,16 +71,15 @@ class SMatrixValue:
     s: complex
 
 
-@dataclass(frozen=True)
-class EigenfunctionFamily:
-    kind: Family
-    measure: Callable[[float], float]
+def _jost_pair(sol: LayerSolution) -> JostPair:
+    """Jplus = -2i J4, Jminus = 2i J3 from the exterior amplitudes (J3, J4)."""
+    j3, j4 = sol.exterior_amplitudes
+    return JostPair(k=sol.k, j_plus=-2j * j4, j_minus=2j * j3)
 
 
 def jost(pot: Potential, scale: PhysicalScale, k: complex) -> JostPair:
-    """Jost functions from the exterior amplitudes: Jplus = -2i J4, Jminus = 2i J3."""
-    j3, j4 = solve_regular(pot, scale, k).exterior_amplitudes
-    return JostPair(k=complex(k), j_plus=-2j * j4, j_minus=2j * j3)
+    """Jost functions at complex k (one solve)."""
+    return _jost_pair(solve_regular(pot, scale, k))
 
 
 def s_matrix(pot: Potential, scale: PhysicalScale, k: complex) -> SMatrixValue:
@@ -66,20 +90,39 @@ def s_matrix(pot: Potential, scale: PhysicalScale, k: complex) -> SMatrixValue:
     return SMatrixValue(k=complex(k), s=jp.j_minus / jp.j_plus)
 
 
+def scattering_density(scale: PhysicalScale, k: complex) -> complex:
+    """rho+(k) = rho-(k) = kappa / (pi k), analytic in k."""
+    return scale.kappa / (math.pi * k)
+
+
+def standing_density(scale: PhysicalScale, jp: JostPair) -> complex:
+    """rho(k) = kappa / (pi k Jplus(k) conj(Jplus(conj k))) from the pair at k.
+
+    conj(Jplus(conj k)) is Jminus(k) off the real axis and conj(Jplus(k)) on
+    it (see the module docstring), so one solve suffices everywhere.
+    """
+    mirror = jp.j_plus.conjugate() if jp.k.imag == 0 else jp.j_minus
+    return scattering_density(scale, jp.k) / (jp.j_plus * mirror)
+
+
+def family_factor(kind: Family, scale: PhysicalScale, jp: JostPair) -> complex:
+    """The factor multiplying chi(r;k) in the family's eigenfunction at k."""
+    if kind == Family.STANDING_WAVE:
+        return sqrt_branch(standing_density(scale, jp))
+    denom = jp.j_plus if kind == Family.IN else jp.j_minus
+    if denom == 0:
+        raise PoleError(f"Jost function vanishes at k={jp.k}")
+    return sqrt_branch(scattering_density(scale, jp.k)) / denom
+
+
 def measure(kind: Family, pot: Potential, scale: PhysicalScale, k: float) -> float:
     """Spectral measure on the physical line k > 0."""
     k = float(k)
     if k <= 0:
         raise ValueError(f"measure defined for real k > 0, got {k}")
     if kind == Family.STANDING_WAVE:
-        _, j4 = solve_regular(pot, scale, k).exterior_amplitudes
-        return scale.kappa / (4 * math.pi * k * abs(j4) ** 2)
-    return scale.kappa / (math.pi * k)
-
-
-def family(kind: Family, pot: Potential, scale: PhysicalScale) -> EigenfunctionFamily:
-    kind = Family(kind)
-    return EigenfunctionFamily(kind=kind, measure=lambda k: measure(kind, pot, scale, k))
+        return standing_density(scale, jost(pot, scale, k)).real
+    return scattering_density(scale, k)
 
 
 def eigenfunction(kind: Family, pot: Potential, scale: PhysicalScale, energy: float, r):
@@ -91,18 +134,8 @@ def eigenfunction(kind: Family, pot: Potential, scale: PhysicalScale, energy: fl
     energy = float(energy)
     if energy <= 0:
         raise ValueError(f"physical spectrum is (0, inf); got E={energy}")
-    k = sqrt_branch(scale.kappa * energy).real
-    sol = solve_regular(pot, scale, k)
-    j3, j4 = sol.exterior_amplitudes
-    chi = evaluate_chi(sol, r)
-    if kind == Family.STANDING_WAVE:
-        rho = scale.kappa / (4 * math.pi * k * abs(j4) ** 2)
-        return math.sqrt(rho) * chi
-    rho = scale.kappa / (math.pi * k)
-    denom = -2j * j4 if kind == Family.IN else 2j * j3
-    if abs(denom) == 0:
-        raise PoleError(f"Jost function vanishes at E={energy}")
-    return math.sqrt(rho) / denom * chi
+    sol = solve_regular(pot, scale, scale.wavenumber(energy).real)
+    return family_factor(kind, scale, _jost_pair(sol)) * evaluate_chi(sol, r)
 
 
 def energy_transform(
@@ -132,7 +165,7 @@ def energy_transform(
         raise ValueError("energies must be positive")
     r = np.linspace(0.0, float(r_max), psi.size)
     dr = r[1] - r[0]
-    k_max = sqrt_branch(scale.kappa * e_grid[-1]).real
+    k_max = scale.wavenumber(e_grid[-1]).real
     if k_max * dr > math.pi / 4:
         warnings.warn(
             f"psi sampling (dr={dr:.3g}) may undersample oscillations at "

@@ -34,7 +34,6 @@ from radscat.criterion import (
     GridSpec,
     NORMALIZATION,
     PHYSICALLY_DISTINCT,
-    _j34,
     scattering_measure_continued,
     standing_measure_continued,
 )
@@ -91,12 +90,10 @@ def test_04_criterion_classifications(shell, scale):
     rho_pm = check_symmetry(lambda e: scattering_measure_continued(scale, e))
 
     def jplus(e):
-        _, j4 = _j34(shell, scale, e)
-        return -2j * j4
+        return jost(shell, scale, scale.wavenumber(e)).j_plus
 
     def jminus(e):
-        j3, _ = _j34(shell, scale, e)
-        return 2j * j3
+        return jost(shell, scale, scale.wavenumber(e)).j_minus
 
     jp_rep = check_symmetry(jplus)
     gap = max(abs(jplus(e) - jminus(e)) for e in GridSpec().points())

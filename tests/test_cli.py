@@ -73,6 +73,48 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "k_min" in err
 
+    def write_cfg(self, tmp_path, **overrides):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(SHELL_CFG, **overrides)))
+        return str(p)
+
+    def test_gamow_region_missing_key(self, capsys, tmp_path):
+        cfg = self.write_cfg(tmp_path, eigenfunction={
+            "family": "gamow", "pole_index": 1, "r_max": 8.0,
+            "region": {"re_min": 0.05, "im_min": -2.0, "im_max": -1e-6}})
+        code, _, err = run(capsys, "eigenfunction", "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert "config error" in err and "re_max" in err
+
+    @pytest.mark.parametrize("command, bad", [
+        ("resonances", {"im_max": 0.5}),
+        ("resonances", {"re_min": -1.0}),
+        ("eigenfunction", {"im_max": 0.5}),
+    ])
+    def test_region_outside_fourth_quadrant(self, capsys, tmp_path, command, bad):
+        region = dict(SHELL_CFG["resonances"]["region"], **bad)
+        cfg = self.write_cfg(
+            tmp_path, resonances={"region": region},
+            eigenfunction={"family": "gamow", "pole_index": 1, "r_max": 8.0,
+                           "region": region})
+        code, _, err = run(capsys, command, "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert "config error" in err and "Im k <= 0" in err
+
+    def test_non_numeric_number(self, capsys, tmp_path):
+        cfg = self.write_cfg(tmp_path, smatrix={"k_min": "abc", "k_max": 6.0})
+        code, _, err = run(capsys, "smatrix", "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert "config error" in err and "k_min" in err
+
+    def test_contour_failure_is_numerical(self, capsys, tmp_path):
+        # Jplus has a real zero at k = sqrt(5) on the region's upper edge
+        cfg = self.write_cfg(tmp_path, breakpoints=[1.0], heights=[5.0], resonances={
+            "region": {"re_min": 1.0, "re_max": 3.0, "im_min": -1.0, "im_max": 0.0}})
+        code, _, err = run(capsys, "resonances", "--config", cfg)
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in err
+
     def test_bad_tolerance(self, capsys, shell_cfg):
         code, _, _ = run(capsys, "smatrix", "--config", shell_cfg,
                          "--tolerance", "oops")

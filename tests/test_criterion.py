@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,16 @@ from radscat import (
     PHYSICALLY_DISTINCT,
     Family,
     GridSpec,
+    Potential,
+    Region,
     check_symmetry,
     classify_eigensolution,
+    find_resonances,
+    jost,
     make_shell,
+    solve_regular,
 )
 from radscat.criterion import (
-    _j34,
     scattering_measure_continued,
     standing_measure_continued,
 )
@@ -19,15 +25,13 @@ from radscat.criterion import (
 
 def jplus_of_e(pot, scale):
     def f(e):
-        _, j4 = _j34(pot, scale, e)
-        return -2j * j4
+        return jost(pot, scale, scale.wavenumber(e)).j_plus
     return f
 
 
 def jminus_of_e(pot, scale):
     def f(e):
-        j3, _ = _j34(pot, scale, e)
-        return 2j * j3
+        return jost(pot, scale, scale.wavenumber(e)).j_minus
     return f
 
 
@@ -98,3 +102,33 @@ class TestClassifyEigensolution:
     def test_free_potential_degenerates_to_normalization(self, fam, free, scale):
         rep = classify_eigensolution(fam, free, scale)
         assert rep.classification == NORMALIZATION
+
+
+def two_solve_standing_measure(pot, scale, e):
+    """The continuation kappa / (4 pi k J4(k) conj(J4(conj k))), two solves."""
+    k = scale.wavenumber(e)
+    _, j4 = solve_regular(pot, scale, k).exterior_amplitudes
+    _, j4c = solve_regular(pot, scale, k.conjugate()).exterior_amplitudes
+    return scale.kappa / (4 * math.pi * k * (j4 * j4c.conjugate()))
+
+
+class TestStandingMeasureContinued:
+    def test_matches_two_solve_continuation(self, shell, scale):
+        # includes the real segment 0 < E < 5 where the positive innermost
+        # height makes Jminus = -conj(Jplus)
+        inner = Potential((1.0, 1.5), (5.0, 9.0))
+        grid = GridSpec(re_min=0.3, re_max=20.0, im_min=-5.0, im_max=5.0,
+                        n_re=15, n_im=11).points()
+        for pot in (shell, inner):
+            for e in grid:
+                got = standing_measure_continued(pot, scale, e)
+                want = two_solve_standing_measure(pot, scale, e)
+                assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_matches_near_a_pole(self, shell, scale):
+        st = find_resonances(shell, scale, Region(2.0, 2.5, -0.1, -1e-6))[0]
+        for z in (st.z_pole, st.z_pole.conjugate()):
+            for d in (1e-4, 1e-6j, -1e-8 + 1e-8j):
+                got = standing_measure_continued(shell, scale, z + d)
+                want = two_solve_standing_measure(shell, scale, z + d)
+                assert abs(got - want) <= 1e-12 * abs(want)

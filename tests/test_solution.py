@@ -195,3 +195,13 @@ class TestConjugationSymmetry:
             rs = np.linspace(0.0, 4.0, 17)
             chi = evaluate_chi(solve_regular(shell, scale, k), rs)
             assert np.max(np.abs(chi.imag)) < 1e-13
+
+
+class TestAmplitudeViews:
+    def test_exterior_is_last_layer_exactly(self, shell, scale, rng):
+        twelve = Potential(tuple(0.15 * (i + 1) for i in range(12)),
+                           tuple(6.0 * math.sin(0.9 * i) for i in range(12)))
+        for pot in (shell, twelve):
+            for k in complex_k_grid(rng, 30):
+                sol = solve_regular(pot, scale, k)
+                assert sol.exterior_amplitudes == sol.layer_amplitudes[-1]

@@ -6,12 +6,13 @@ from scipy.integrate import simpson
 
 from radscat import (
     Family,
+    Potential,
     PoleError,
     Region,
     eigenfunction,
+    eigensolution_factor,
     energy_transform,
     evaluate_chi,
-    family,
     find_resonances,
     jost,
     measure,
@@ -87,11 +88,6 @@ class TestMeasures:
             rho_p = measure(Family.IN, shell, scale, k)
             assert abs(4 * rho * abs(j4) ** 2 - rho_p) <= 1e-12 * rho_p
 
-    def test_family_wrapper(self, shell, scale):
-        fam = family(Family.STANDING_WAVE, shell, scale)
-        assert fam.kind == Family.STANDING_WAVE
-        assert fam.measure(3.0) == measure(Family.STANDING_WAVE, shell, scale, 3.0)
-
     def test_invalid_k(self, shell, scale):
         with pytest.raises(ValueError):
             measure(Family.STANDING_WAVE, shell, scale, -1.0)
@@ -125,6 +121,20 @@ class TestEigenfunction:
         expect = math.sqrt(rho) * evaluate_chi(sol, r)
         got = eigenfunction(Family.STANDING_WAVE, shell, scale, e, r)
         assert abs(got - expect) < 1e-14
+
+    @pytest.mark.parametrize("fam", list(Family))
+    def test_criterion_factor_builds_the_family(self, fam, shell, scale):
+        # the criterion classifies the same factor the eigenfunction uses;
+        # E = 2 lies below the innermost height of the second potential
+        inner = Potential((1.0, 1.5), (5.0, 9.0))
+        rs = np.linspace(0.0, 6.0, 40)
+        for pot in (shell, inner):
+            factor = eigensolution_factor(fam, pot, scale)
+            for e in (2.0, 9.0, 31.5):
+                chi = evaluate_chi(solve_regular(pot, scale, math.sqrt(scale.kappa * e)), rs)
+                want = factor(e) * chi
+                got = eigenfunction(fam, pot, scale, e, rs)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_free_standing_wave_is_scaled_sine(self, free, scale):
         e = 4.0
