@@ -30,6 +30,7 @@ from .criterion import (
     PHYSICALLY_DISTINCT,
     CriterionReport,
     GridSpec,
+    NonFiniteGridError,
     check_symmetry,
     classify_eigensolution,
     eigensolution_factor,

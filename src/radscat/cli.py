@@ -28,7 +28,7 @@ from .resonance import (
     find_resonances,
     gamow_eigenfunction,
 )
-from .spectral import Family, PoleError, eigenfunction, energy_transform, jost, measure, s_matrix
+from .spectral import Family, eigenfunction, energy_transform, jost, measure, s_matrix
 from .verification import smeared_delta_check
 
 EXIT_OK = 0
@@ -93,6 +93,14 @@ def _number(sec: dict, key: str, section: str, default=None, cast=float):
         ) from exc
 
 
+def _count(sec: dict, key: str, section: str, default: int) -> int:
+    """A sample count: sec[key] as an integer of at least 1."""
+    n = _number(sec, key, section, default, int)
+    if n < 1:
+        raise ConfigError(f"key '{key}' in config section '{section}' must be at least 1, got {n}")
+    return n
+
+
 def _region(sec: dict, section: str) -> Region:
     """The section's fourth-quadrant search rectangle in the k plane."""
     reg = _need(sec, "region", section)
@@ -142,12 +150,11 @@ def cmd_smatrix(cfg, scale, pot, tols):
     sec = _section(cfg, "smatrix")
     k = np.linspace(_number(sec, "k_min", "smatrix"),
                     _number(sec, "k_max", "smatrix"),
-                    _number(sec, "n_k", "smatrix", 200, int))
+                    _count(sec, "n_k", "smatrix", 200))
     if k[0] <= 0:
         raise ConfigError("smatrix k grid must be positive")
     rows = []
-    for kv in k:
-        s = s_matrix(pot, scale, kv).s
+    for kv, s in zip(k, s_matrix(pot, scale, k).s):
         rows.append((float(kv), float(kv ** 2 / scale.kappa),
                      float(s.real), float(s.imag), float(abs(s)),
                      float(np.angle(s))))
@@ -203,6 +210,12 @@ def cmd_criterion(cfg, scale, pot, tols):
              "n_re": int, "n_im": int}
     grid = GridSpec(**{key: _number(gs, key, "criterion.grid", cast=cast)
                        for key, cast in casts.items() if key in gs})
+    try:
+        n_points = grid.points().size
+    except ValueError as exc:
+        raise ConfigError(f"invalid criterion grid: {exc}") from exc
+    if n_points == 0:
+        raise ConfigError("criterion grid has no points")
     rtol = tols.get("symmetry", SYMMETRY_RTOL)
     rep = classify_eigensolution(kind, pot, scale, grid, rtol=rtol)
     record = {
@@ -223,7 +236,7 @@ def cmd_verify(cfg, scale, pot, tols):
     # |S| = 1 on the physical line
     unit_tol = tols.get("unitarity", 1e-10)
     ks = np.linspace(0.05, 10.0, 1000)
-    dev = max(abs(abs(s_matrix(pot, scale, k).s) - 1.0) for k in ks)
+    dev = float(np.max(np.abs(np.abs(s_matrix(pot, scale, ks).s) - 1.0)))
     checks.append(("unitarity", dev, unit_tol))
 
     # in = S * out pointwise
@@ -286,9 +299,11 @@ def cmd_transform(cfg, scale, pot, tols):
     psi = np.exp(-((r - center) ** 2) / (2 * width ** 2))
     if k0 is not None:
         psi = psi * np.exp(1j * k0 * r)
-    e_grid = np.linspace(_number(sec, "e_min", "transform"),
-                         _number(sec, "e_max", "transform"),
-                         _number(sec, "n_e", "transform", 400, int))
+    e_min = _number(sec, "e_min", "transform")
+    if e_min <= 0:
+        raise ConfigError(f"transform e_min must be positive, got {e_min}")
+    e_grid = np.linspace(e_min, _number(sec, "e_max", "transform"),
+                         _count(sec, "n_e", "transform", 400))
     coeffs = energy_transform(kind, pot, scale, psi, r_max, e_grid)
     rows = [(float(e), float(c.real), float(c.imag)) for e, c in zip(e_grid, coeffs)]
     return ["E", "re_coeff", "im_coeff"], rows, None
@@ -329,7 +344,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MissedRootsError, IllConditionedResidueError, ContourError, PoleError) as exc:
+    except (MissedRootsError, IllConditionedResidueError, ContourError, ArithmeticError) as exc:
+        # ArithmeticError: PoleError, OverflowError, NonFiniteGridError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -54,6 +54,10 @@ class GridSpec:
         return pts
 
 
+class NonFiniteGridError(ArithmeticError):
+    """No grid point gave a finite value (for example, every lane overflowed)."""
+
+
 @dataclass(frozen=True)
 class CriterionReport:
     function_label: str
@@ -69,25 +73,33 @@ class CriterionReport:
 
 
 def check_symmetry(
-    f: Callable[[complex], complex],
+    f: Callable[[np.ndarray], np.ndarray],
     grid: GridSpec | None = None,
     label: str = "f",
     rtol: float = SYMMETRY_RTOL,
 ) -> CriterionReport:
     """Max over the grid of |conj(f(conj(E))) - f(E)| and its classification.
 
+    ``f`` maps a 1-d complex array of energies to the array of its values,
+    elementwise; a scalar result stands for a constant f.  It is called once,
+    on the n grid points followed by their n conjugates.
+
     Non-finite evaluations are excluded from the max and counted in the
-    report instead of raising.
+    report instead of raising; NonFiniteGridError is raised if no point is
+    finite.
     """
     grid = grid or GridSpec()
     pts = grid.points()
-    vals = np.array([complex(f(e)) for e in pts])
-    mirror = np.array([complex(f(e.conjugate())).conjugate() for e in pts])
-    dev = np.abs(mirror - vals)
+    both = np.concatenate([pts, pts.conjugate()])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # non-finite values are counted below instead
+        out = np.broadcast_to(np.asarray(f(both), dtype=complex), both.shape)
+        vals, mirror = out[:pts.size], out[pts.size:].conjugate()
+        dev = np.abs(mirror - vals)
     finite = np.isfinite(dev) & np.isfinite(np.abs(vals))
     n_bad = int(np.size(dev) - np.count_nonzero(finite))
     if not finite.any():
-        raise ValueError(f"no finite evaluations of {label} on the grid")
+        raise NonFiniteGridError(f"no finite evaluations of {label} on the grid")
     max_dev = float(dev[finite].max())
     max_abs = float(np.abs(vals[finite]).max())
     cls = NORMALIZATION if max_dev <= rtol * (1 + max_abs) else PHYSICALLY_DISTINCT
@@ -101,8 +113,10 @@ def check_symmetry(
     )
 
 
-def standing_measure_continued(pot: Potential, scale: PhysicalScale, energy: complex) -> complex:
+def standing_measure_continued(pot: Potential, scale: PhysicalScale, energy):
     """rho(E) continued off the real axis: ``spectral.standing_density`` at k(E).
+
+    Elementwise, in one batched solve, for an array of energies.
 
     |J4|^2 is not analytic; the continuation J4(k) * conj(J4(conj(k))) agrees
     with it on the real line, keeps rho conjugation-symmetric and costs one
@@ -111,22 +125,22 @@ def standing_measure_continued(pot: Potential, scale: PhysicalScale, energy: com
     return standing_density(scale, jost(pot, scale, scale.wavenumber(energy)))
 
 
-def scattering_measure_continued(scale: PhysicalScale, energy: complex) -> complex:
+def scattering_measure_continued(scale: PhysicalScale, energy):
     """rho+(E) = rho-(E) continued off the real axis."""
     return scattering_density(scale, scale.wavenumber(energy))
 
 
 def eigensolution_factor(
     kind: Family, pot: Potential, scale: PhysicalScale
-) -> Callable[[complex], complex]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """The energy-dependent factor multiplying chi for the given family.
 
     The same ``spectral.family_factor`` that builds the eigenfunctions, at
-    complex energy.
+    complex energy; an array of energies costs one batched solve.
     """
     kind = Family(kind)
 
-    def f(energy: complex) -> complex:
+    def f(energy):
         return family_factor(kind, scale, jost(pot, scale, scale.wavenumber(energy)))
 
     return f

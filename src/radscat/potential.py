@@ -12,12 +12,25 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
 
-def sqrt_branch(value: complex) -> complex:
+
+def sqrt_branch(value):
     """Square root mapping arg in (-pi, pi] to arg in (-pi/2, pi/2].
 
-    Negative real inputs land on the upper edge of the cut: sqrt(-4) = 2j.
+    Negative real inputs land on the upper edge of the cut: sqrt(-4) = 2j,
+    whatever the sign of the zero imaginary part; 0 maps to 0.  An array
+    input gives an array with the same per-element semantics.
     """
+    if getattr(value, "ndim", 0):
+        z = np.asarray(value, dtype=complex)
+        cut = (z.real < 0) & (z.imag == 0)
+        root = np.where(cut, 1j * np.sqrt(np.abs(z.real)), np.sqrt(z))
+        return np.where(z == 0, 0j, root)
+    return _sqrt_branch_scalar(value)
+
+
+def _sqrt_branch_scalar(value: complex) -> complex:
     z = complex(value)
     if z == 0:
         return 0j
@@ -37,9 +50,10 @@ class PhysicalScale:
         if not (math.isfinite(self.kappa) and self.kappa > 0):
             raise ValueError(f"kappa must be a positive finite real, got {self.kappa}")
 
-    def wavenumber(self, energy: complex) -> complex:
-        """k = sqrt(kappa * E) on the branch with Re k >= 0."""
-        return sqrt_branch(self.kappa * complex(energy))
+    def wavenumber(self, energy):
+        """k = sqrt(kappa * E) on the branch with Re k >= 0; arrays map elementwise."""
+        e = np.asarray(energy, dtype=complex) if getattr(energy, "ndim", 0) else complex(energy)
+        return sqrt_branch(self.kappa * e)
 
     def energy(self, k: complex) -> complex:
         return complex(k) ** 2 / self.kappa
@@ -127,4 +141,4 @@ def local_wavenumber(pot: Potential, scale: PhysicalScale, k: complex, layer: in
     v = pot.height(layer)
     if v == 0.0:
         return complex(k)
-    return sqrt_branch(complex(k) ** 2 - scale.kappa * v)
+    return _sqrt_branch_scalar(complex(k) ** 2 - scale.kappa * v)

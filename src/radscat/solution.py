@@ -5,6 +5,19 @@ propagated across each breakpoint by enforcing continuity of chi and chi'.
 Per layer, chi = exp(ls) * (a_out e^{i q (r - r0)} + a_in e^{-i q (r - r0)})
 with r0 the left edge; the real exponent ls absorbs exponential growth so
 that deep-complex-k evaluations do not overflow.
+
+One step, ``_step``, carries a layer's (a_out, a_in) across the layer in
+log-scaled form (``_shift``) and re-fits them from (chi, chi') to the next
+layer's wavenumber.  Its operands broadcast, and two drivers call it:
+
+* ``solve_regular`` (one complex k, ``cmath.exp``) keeps every layer as a
+  ``LayerWave`` record; ``evaluate_chi`` and the Gamow states need them.
+* ``exterior_amplitudes_batch`` (a 1-d array of k, ``np.exp``) carries only
+  the running (a_out, a_in, ls) per lane and returns the exterior (J3, J4);
+  ``spectral.jost`` calls it whenever k is an array.
+
+A layer whose q is exactly 0 (energy at its height) uses the basis
+{1, r - r0}; each driver handles that case itself.
 """
 
 from __future__ import annotations
@@ -15,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import PhysicalScale, Potential, local_wavenumber
+from .potential import PhysicalScale, Potential, local_wavenumber, sqrt_branch
 
 
-def _shift(q: complex, a_out: complex, a_in: complex, dr: float) -> tuple[complex, complex, float]:
+def _shift(q, a_out, a_in, dr, exp=cmath.exp):
     """Amplitudes re-referenced a distance dr to the right, in log-scaled form.
 
     Returns (a_out e^{iq dr}, a_in e^{-iq dr}) divided by e^m, and m: the
@@ -27,7 +40,28 @@ def _shift(q: complex, a_out: complex, a_in: complex, dr: float) -> tuple[comple
     g = -q.imag * dr  # growth exponent of the outgoing term over dr
     m = abs(g)
     phase = 1j * q.real * dr
-    return a_out * cmath.exp(phase + (g - m)), a_in * cmath.exp(-phase + (-g - m)), m
+    return a_out * exp(phase + (g - m)), a_in * exp(-phase + (-g - m)), m
+
+
+def _step(q, a_out, a_in, dr, q_next, same, exp):
+    """One breakpoint: (a_out, a_in) of wavenumber q carried over dr and re-fit
+    to q_next.  Returns (a_out', a_in', m) with m added to the log scale.
+
+    ``same`` (no height change) keeps the shifted amplitudes as they are:
+    re-fitting from (chi, chi') would amplify rounding by the layer's growth
+    factor.  Both q and q_next must be nonzero.
+    """
+    t_out, t_in, m = _shift(q, a_out, a_in, dr, exp)
+    if same:
+        return t_out, t_in, m
+    a_out, a_in = _fit(t_out + t_in, 1j * q * (t_out - t_in), q_next)
+    return a_out, a_in, m
+
+
+def _fit(v, dv, q):
+    """(a_out, a_in) of wavenumber q from (chi, chi') at a layer's left edge."""
+    w = dv / (1j * q)
+    return (v + w) / 2, (v - w) / 2
 
 
 @dataclass(frozen=True)
@@ -114,22 +148,71 @@ def solve_regular(pot: Potential, scale: PhysicalScale, k: complex) -> LayerSolu
     for i, r_i in enumerate(pot.breakpoints):
         prev = layers[-1]
         q = local_wavenumber(pot, scale, k, i + 1)
-        if q == prev.q and q != 0:
-            # no height change across this breakpoint: shift the reference
-            # point multiplicatively instead of re-fitting from (chi, chi'),
-            # which would amplify rounding by the layer's growth factor
-            a_out, a_in, m = _shift(q, prev.a_out, prev.a_in, r_i - prev.r_left)
-            layers.append(LayerWave(q=q, r_left=r_i, a_out=a_out, a_in=a_in,
-                                    log_scale=prev.log_scale + m))
-            continue
-        v, dv, ls = prev.values_at(r_i - prev.r_left)
-        if q == 0:
-            layers.append(LayerWave(q=0j, r_left=r_i, a_out=v, a_in=dv, log_scale=ls))
+        dr = r_i - prev.r_left
+        if q == 0 or prev.q == 0:
+            v, dv, ls = prev.values_at(dr)
+            a_out, a_in = (v, dv) if q == 0 else _fit(v, dv, q)
         else:
-            a_out = (v + dv / (1j * q)) / 2
-            a_in = (v - dv / (1j * q)) / 2
-            layers.append(LayerWave(q=q, r_left=r_i, a_out=a_out, a_in=a_in, log_scale=ls))
+            a_out, a_in, m = _step(prev.q, prev.a_out, prev.a_in, dr, q, q == prev.q, cmath.exp)
+            ls = prev.log_scale + m
+        layers.append(LayerWave(q=q, r_left=r_i, a_out=a_out, a_in=a_in, log_scale=ls))
     return LayerSolution(k=k, pot=pot, scale=scale, layers=tuple(layers))
+
+
+def exterior_amplitudes_batch(pot: Potential, scale: PhysicalScale, k) -> tuple[np.ndarray, np.ndarray]:
+    """Exterior (J3, J4) for a 1-d array of k, one lane per k.
+
+    The same propagation as ``solve_regular`` without the per-layer records.
+    A lane whose amplitudes leave the float range comes out non-finite
+    instead of raising.  Raises ValueError if any k is 0.
+    """
+    k = np.asarray(k, dtype=complex)
+    if np.any(k == 0):
+        raise ValueError("k = 0 is degenerate: sin(kr) vanishes identically")
+    heights = pot.heights + (0.0,)
+    k2 = k * k
+
+    def wavenumbers(v):
+        # free layers follow the sign of k, as in local_wavenumber
+        return k if v == 0.0 else sqrt_branch(k2 - scale.kappa * v)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q = wavenumbers(heights[0])
+        lin = q == 0  # energy at the innermost height: chi = r
+        a_out = np.where(lin, 0j, 1 / 2j)
+        a_in = np.where(lin, 1 + 0j, -1 / 2j)
+        ls = np.zeros(k.shape)
+        r_left = 0.0
+        for i, r_i in enumerate(pot.breakpoints):
+            same = heights[i + 1] == heights[i]
+            q_next = q if same else wavenumbers(heights[i + 1])
+            dr = r_i - r_left
+            new_out, new_in, m = _step(q, a_out, a_in, dr, q_next, same, np.exp)
+            lin_next = q_next == 0
+            if lin.any() or lin_next.any():
+                fix = lin | lin_next
+                fix_out, fix_in = _linear_lanes(q, a_out, a_in, dr, q_next, lin, lin_next)
+                new_out = np.where(fix, fix_out, new_out)
+                new_in = np.where(fix, fix_in, new_in)
+            a_out, a_in, ls = new_out, new_in, ls + m
+            q, lin, r_left = q_next, lin_next, r_i
+        # the log scale shares one exponential with the re-referencing, so a
+        # lane overflows only where the amplitude itself does
+        rot = 1j * k * r_left
+        return a_out * np.exp(ls - rot), a_in * np.exp(ls + rot)
+
+
+def _linear_lanes(q, a_out, a_in, dr, q_next, lin, lin_next):
+    """The step for lanes where q (mask ``lin``) or q_next (``lin_next``) is 0.
+
+    On such a layer (a_out, a_in) are the (constant, slope) coefficients of
+    the basis {1, r - r0}; the other lanes' values are discarded by the caller.
+    """
+    t_out, t_in, _ = _shift(q, a_out, a_in, dr, np.exp)  # m = 0 where q = 0
+    v = np.where(lin, a_out + a_in * dr, t_out + t_in)
+    dv = np.where(lin, a_in, 1j * q * (t_out - t_in))
+    fit_out, fit_in = _fit(v, dv, q_next)
+    return np.where(lin_next, v, fit_out), np.where(lin_next, dv, fit_in)
 
 
 def _evaluate(sol: LayerSolution, r, derivative: int):

@@ -31,10 +31,16 @@ differ only by the energy-dependent factor in front of it
     standing wave:  sqrt(rho(k)) chi(r;k)
     in:             sqrt(rho+(k)) chi(r;k) / Jplus(k)
     out:            sqrt(rho-(k)) chi(r;k) / Jminus(k)
+
+Arrays.  ``jost`` and ``s_matrix`` take either one k or a 1-d array of k; an
+array goes through ``solution.exterior_amplitudes_batch`` in one pass and
+gives array fields.  ``scattering_density``, ``standing_density`` and
+``family_factor`` work elementwise on such pairs.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import warnings
@@ -45,7 +51,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .potential import PhysicalScale, Potential, sqrt_branch
-from .solution import LayerSolution, evaluate_chi, solve_regular
+from .solution import LayerSolution, evaluate_chi, exterior_amplitudes_batch, solve_regular
 
 
 class Family(str, enum.Enum):
@@ -60,6 +66,8 @@ class PoleError(ArithmeticError):
 
 @dataclass(frozen=True)
 class JostPair:
+    """J+- at k; the fields are arrays when k is an array."""
+
     k: complex
     j_plus: complex
     j_minus: complex
@@ -71,47 +79,93 @@ class SMatrixValue:
     s: complex
 
 
-def _jost_pair(sol: LayerSolution) -> JostPair:
+def _any(mask) -> bool:
+    """Whether a bool, or any element of a bool array, is set (np.any costs
+    microseconds on a plain bool, which the scalar paths cannot afford)."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _finite(x) -> bool:
+    """Whether a complex, or every element of a complex array, is finite."""
+    return bool(np.isfinite(x).all()) if isinstance(x, np.ndarray) else cmath.isfinite(x)
+
+
+def _first(k, mask):
+    """The first k where mask is set (k itself for a scalar)."""
+    return np.asarray(k)[mask].flat[0]
+
+
+def _jost_pair(k, j3, j4) -> JostPair:
     """Jplus = -2i J4, Jminus = 2i J3 from the exterior amplitudes (J3, J4)."""
-    j3, j4 = sol.exterior_amplitudes
-    return JostPair(k=sol.k, j_plus=-2j * j4, j_minus=2j * j3)
+    return JostPair(k=k, j_plus=-2j * j4, j_minus=2j * j3)
 
 
-def jost(pot: Potential, scale: PhysicalScale, k: complex) -> JostPair:
-    """Jost functions at complex k (one solve)."""
-    return _jost_pair(solve_regular(pot, scale, k))
+def _solved_pair(sol: LayerSolution) -> JostPair:
+    """The pair of one scalar solve.
+
+    Raises OverflowError where J+- leave the float range: e^ls e^{+-ik r_b}
+    can overflow where neither factor does (nan from inf * 0), and so can
+    the factor 2 of a J4 near 1e308.
+    """
+    jp = _jost_pair(sol.k, *sol.exterior_amplitudes)
+    if not (cmath.isfinite(jp.j_plus) and cmath.isfinite(jp.j_minus)):
+        raise OverflowError(f"Jost functions overflow at k={sol.k}")
+    return jp
 
 
-def s_matrix(pot: Potential, scale: PhysicalScale, k: complex) -> SMatrixValue:
-    """S(k) = Jminus/Jplus; raises PoleError at zeros of Jplus."""
+def jost(pot: Potential, scale: PhysicalScale, k) -> JostPair:
+    """Jost functions at complex k (one solve).
+
+    An array k is propagated in one batched pass; a lane that overflows comes
+    out non-finite, where a scalar k raises OverflowError.
+    """
+    if getattr(k, "ndim", 0):
+        k = np.asarray(k, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _jost_pair(k, *exterior_amplitudes_batch(pot, scale, k))
+    return _solved_pair(solve_regular(pot, scale, k))
+
+
+def s_matrix(pot: Potential, scale: PhysicalScale, k) -> SMatrixValue:
+    """S(k) = Jminus/Jplus, elementwise for an array k.
+
+    Raises PoleError at zeros of Jplus and OverflowError where the Jost
+    functions leave the float range, at any lane of an array.
+    """
     jp = jost(pot, scale, k)
-    if abs(jp.j_plus) <= 1e-14 * abs(jp.j_minus):
-        raise PoleError(f"Jplus vanishes at k={k}: resonance pole")
-    return SMatrixValue(k=complex(k), s=jp.j_minus / jp.j_plus)
+    if not (_finite(jp.j_plus) and _finite(jp.j_minus)):  # overflowed lanes of an array
+        bad = ~(np.isfinite(jp.j_plus) & np.isfinite(jp.j_minus))
+        raise OverflowError(f"Jost functions overflow at k={_first(jp.k, bad)}")
+    at_pole = abs(jp.j_plus) <= 1e-14 * abs(jp.j_minus)
+    if _any(at_pole):
+        raise PoleError(f"Jplus vanishes at k={_first(jp.k, at_pole)}: resonance pole")
+    return SMatrixValue(k=jp.k, s=jp.j_minus / jp.j_plus)
 
 
-def scattering_density(scale: PhysicalScale, k: complex) -> complex:
+def scattering_density(scale: PhysicalScale, k):
     """rho+(k) = rho-(k) = kappa / (pi k), analytic in k."""
     return scale.kappa / (math.pi * k)
 
 
-def standing_density(scale: PhysicalScale, jp: JostPair) -> complex:
+def standing_density(scale: PhysicalScale, jp: JostPair):
     """rho(k) = kappa / (pi k Jplus(k) conj(Jplus(conj k))) from the pair at k.
 
     conj(Jplus(conj k)) is Jminus(k) off the real axis and conj(Jplus(k)) on
     it (see the module docstring), so one solve suffices everywhere.
     """
-    mirror = jp.j_plus.conjugate() if jp.k.imag == 0 else jp.j_minus
+    mirror = np.where(np.imag(jp.k) == 0, np.conj(jp.j_plus), jp.j_minus)
+    if mirror.ndim == 0:
+        mirror = complex(mirror)  # a scalar pair keeps Python complex arithmetic
     return scattering_density(scale, jp.k) / (jp.j_plus * mirror)
 
 
-def family_factor(kind: Family, scale: PhysicalScale, jp: JostPair) -> complex:
+def family_factor(kind: Family, scale: PhysicalScale, jp: JostPair):
     """The factor multiplying chi(r;k) in the family's eigenfunction at k."""
     if kind == Family.STANDING_WAVE:
         return sqrt_branch(standing_density(scale, jp))
     denom = jp.j_plus if kind == Family.IN else jp.j_minus
-    if denom == 0:
-        raise PoleError(f"Jost function vanishes at k={jp.k}")
+    if _any(denom == 0):
+        raise PoleError(f"Jost function vanishes at k={_first(jp.k, denom == 0)}")
     return sqrt_branch(scattering_density(scale, jp.k)) / denom
 
 
@@ -135,7 +189,7 @@ def eigenfunction(kind: Family, pot: Potential, scale: PhysicalScale, energy: fl
     if energy <= 0:
         raise ValueError(f"physical spectrum is (0, inf); got E={energy}")
     sol = solve_regular(pot, scale, scale.wavenumber(energy).real)
-    return family_factor(kind, scale, _jost_pair(sol)) * evaluate_chi(sol, r)
+    return family_factor(kind, scale, _solved_pair(sol)) * evaluate_chi(sol, r)
 
 
 def energy_transform(

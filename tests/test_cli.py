@@ -115,6 +115,32 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("command, section, err_part", [
+        ("smatrix", {"smatrix": {"k_min": 0.5, "k_max": 6.0, "n_k": -1}}, "n_k"),
+        ("smatrix", {"smatrix": {"k_min": 0.5, "k_max": 6.0, "n_k": 0}}, "n_k"),
+        ("criterion", {"criterion": {"label": "in", "grid": {
+            "re_min": -10.0, "re_max": -1.0, "im_min": -1e-9, "im_max": 1e-9,
+            "n_re": 5, "n_im": 3}}}, "branch cut"),
+        ("transform", {"transform": dict(SHELL_CFG["transform"], e_min=-1.0)}, "e_min"),
+        ("transform", {"transform": dict(SHELL_CFG["transform"], n_e=0)}, "n_e"),
+        ("criterion", {"criterion": {"label": "in", "grid": {"n_re": 0}}}, "no points"),
+    ])
+    def test_out_of_range_value(self, capsys, tmp_path, command, section, err_part):
+        cfg = self.write_cfg(tmp_path, **section)
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert "config error" in err and err_part in err
+        assert out == ""
+
+    def test_overflow_is_numerical(self, capsys, tmp_path):
+        # the exterior amplitudes of a 1e6 barrier exceed the float range
+        # at every grid point
+        cfg = self.write_cfg(tmp_path, heights=[0.0, 1e6])
+        for command in ("smatrix", "criterion"):
+            code, out, err = run(capsys, command, "--config", cfg)
+            assert code == EXIT_NUMERICAL, command
+            assert "numerical failure" in err and out == ""
+
     def test_bad_tolerance(self, capsys, shell_cfg):
         code, _, _ = run(capsys, "smatrix", "--config", shell_cfg,
                          "--tolerance", "oops")

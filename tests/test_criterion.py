@@ -75,7 +75,7 @@ class TestCheckSymmetry:
 
     def test_nonfinite_values_are_counted_not_fatal(self):
         def f(e):
-            return float("nan") if abs(e - (5 + 1j)) < 2 else 1.0
+            return np.where(abs(e - (5 + 1j)) < 2, float("nan"), 1.0)
 
         rep = check_symmetry(f, GridSpec(n_re=20, n_im=20))
         assert rep.n_nonfinite > 0
