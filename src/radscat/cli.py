@@ -15,7 +15,6 @@ import json
 import sys
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import __version__
 from .criterion import SYMMETRY_RTOL, GridSpec, classify_eigensolution
@@ -93,11 +92,12 @@ def _number(sec: dict, key: str, section: str, default=None, cast=float):
         ) from exc
 
 
-def _count(sec: dict, key: str, section: str, default: int) -> int:
-    """A sample count: sec[key] as an integer of at least 1."""
+def _count(sec: dict, key: str, section: str, default: int, least: int = 1) -> int:
+    """A sample count: sec[key] as an integer of at least ``least``."""
     n = _number(sec, key, section, default, int)
-    if n < 1:
-        raise ConfigError(f"key '{key}' in config section '{section}' must be at least 1, got {n}")
+    if n < least:
+        raise ConfigError(
+            f"key '{key}' in config section '{section}' must be at least {least}, got {n}")
     return n
 
 
@@ -176,9 +176,11 @@ def cmd_resonances(cfg, scale, pot, tols):
 def cmd_eigenfunction(cfg, scale, pot, tols):
     sec = _section(cfg, "eigenfunction")
     fam = _need(sec, "family", "eigenfunction")
-    r = np.linspace(_number(sec, "r_min", "eigenfunction", 0.0),
-                    _number(sec, "r_max", "eigenfunction"),
-                    _number(sec, "n_r", "eigenfunction", 200, int))
+    r_min = _number(sec, "r_min", "eigenfunction", 0.0)
+    if r_min < 0:
+        raise ConfigError(f"eigenfunction r_min must be nonnegative, got {r_min}")
+    r = np.linspace(r_min, _number(sec, "r_max", "eigenfunction"),
+                    _count(sec, "n_r", "eigenfunction", 200))
     if fam == "gamow":
         states = find_resonances(pot, scale, _region(sec, "eigenfunction"))
         idx = _number(sec, "pole_index", "eigenfunction", cast=int)
@@ -288,8 +290,8 @@ def cmd_transform(cfg, scale, pot, tols):
         raise ConfigError(f"unknown family '{fam}'") from exc
     psi_spec = _need(sec, "psi", "transform")
     r_max = _number(sec, "r_max", "transform", 10 * pot.outer_radius)
-    n_r = _number(sec, "n_r", "transform", 2001, int)
-    r = np.linspace(0.0, r_max, n_r)
+    # Simpson's rule needs at least three samples
+    r = np.linspace(0.0, r_max, _count(sec, "n_r", "transform", 2001, least=3))
     try:
         center = float(psi_spec["center"])
         width = float(psi_spec["width"])
@@ -302,8 +304,11 @@ def cmd_transform(cfg, scale, pot, tols):
     e_min = _number(sec, "e_min", "transform")
     if e_min <= 0:
         raise ConfigError(f"transform e_min must be positive, got {e_min}")
-    e_grid = np.linspace(e_min, _number(sec, "e_max", "transform"),
-                         _count(sec, "n_e", "transform", 400))
+    e_max = _number(sec, "e_max", "transform")
+    n_e = _count(sec, "n_e", "transform", 400)
+    if n_e > 1 and e_max <= e_min:
+        raise ConfigError(f"transform e_max must exceed e_min, got {e_max} <= {e_min}")
+    e_grid = np.linspace(e_min, e_max, n_e)
     coeffs = energy_transform(kind, pot, scale, psi, r_max, e_grid)
     rows = [(float(e), float(c.real), float(c.imag)) for e, c in zip(e_grid, coeffs)]
     return ["E", "re_coeff", "im_coeff"], rows, None

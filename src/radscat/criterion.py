@@ -36,13 +36,10 @@ class GridSpec:
     im_max: float = 5.0
     n_re: int = 80
     n_im: int = 80
-    exclude_real_band: float = 0.0
 
     def points(self) -> np.ndarray:
         re = np.linspace(self.re_min, self.re_max, self.n_re)
         im = np.linspace(self.im_min, self.im_max, self.n_im)
-        if self.exclude_real_band > 0:
-            im = im[np.abs(im) >= self.exclude_real_band]
         pts = (re[:, None] + 1j * im[None, :]).ravel()
         args = np.angle(pts)
         bad = (args <= -math.pi + _CUT_EPS) | (args >= math.pi - _CUT_EPS)

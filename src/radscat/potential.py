@@ -55,9 +55,6 @@ class PhysicalScale:
         e = np.asarray(energy, dtype=complex) if getattr(energy, "ndim", 0) else complex(energy)
         return sqrt_branch(self.kappa * e)
 
-    def energy(self, k: complex) -> complex:
-        return complex(k) ** 2 / self.kappa
-
 
 @dataclass(frozen=True)
 class Potential:

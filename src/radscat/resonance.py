@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import PhysicalScale, Potential, local_wavenumber
+from .potential import PhysicalScale, Potential
 from .solution import LayerSolution, evaluate_chi, solve_regular
 from .spectral import jost, s_matrix
 
@@ -26,6 +26,11 @@ GROWING = "growing"
 POLE_RESIDUAL_RTOL = 1e-10
 #: agreement required between the two residue methods
 RESIDUE_AGREEMENT_RTOL = 1e-6
+
+#: residue contour: radius relative to max(1, |k_pole|) and the e^{i theta}
+#: of its trapezoid points
+_CONTOUR_RADIUS = 1e-3
+_CONTOUR = np.exp(2j * math.pi * np.arange(64) / 64)
 
 
 class MissedRootsError(RuntimeError):
@@ -282,25 +287,18 @@ def growing_partner(state: GamowState) -> GamowState:
     return _build_state(state.pot, state.scale, -state.k_pole.conjugate(), kind)
 
 
-def residue_norm(
-    pot: Potential,
-    scale: PhysicalScale,
-    k_pole: complex,
-    radius: float | None = None,
-    n_samples: int = 64,
-) -> complex:
+def residue_norm(pot: Potential, scale: PhysicalScale, k_pole: complex) -> complex:
     """N^2 = i * res S(k) at a simple pole, with a built-in cross-check.
 
     The contour value (trapezoid on a circle, spectrally accurate) must agree
     with i*Jminus/Jplus' to RESIDUE_AGREEMENT_RTOL or the residue is declared
-    ill-conditioned.
+    ill-conditioned.  The contour is one batched S-matrix evaluation, which
+    raises PoleError or OverflowError if any of its points does.
     """
     k_pole = complex(k_pole)
-    r0 = radius if radius is not None else 1e-3 * max(1.0, abs(k_pole))
-    theta = 2 * math.pi * np.arange(n_samples) / n_samples
-    offsets = r0 * np.exp(1j * theta)
-    svals = np.array([s_matrix(pot, scale, k_pole + dk).s for dk in offsets])
-    res_contour = (r0 / n_samples) * np.sum(svals * np.exp(1j * theta))
+    r0 = _CONTOUR_RADIUS * max(1.0, abs(k_pole))
+    svals = s_matrix(pot, scale, k_pole + r0 * _CONTOUR).s
+    res_contour = (r0 / _CONTOUR.size) * np.sum(svals * _CONTOUR)
 
     def jp(k):
         return jost(pot, scale, k).j_plus

@@ -6,24 +6,23 @@ Per layer, chi = exp(ls) * (a_out e^{i q (r - r0)} + a_in e^{-i q (r - r0)})
 with r0 the left edge; the real exponent ls absorbs exponential growth so
 that deep-complex-k evaluations do not overflow.
 
-One step, ``_step``, carries a layer's (a_out, a_in) across the layer in
-log-scaled form (``_shift``) and re-fits them from (chi, chi') to the next
-layer's wavenumber.  Its operands broadcast, and two drivers call it:
-
-* ``solve_regular`` (one complex k, ``cmath.exp``) keeps every layer as a
-  ``LayerWave`` record; ``evaluate_chi`` and the Gamow states need them.
-* ``exterior_amplitudes_batch`` (a 1-d array of k, ``np.exp``) carries only
-  the running (a_out, a_in, ls) per lane and returns the exterior (J3, J4);
-  ``spectral.jost`` calls it whenever k is an array.
+One kernel, ``_shift``, forms every e^{+-iq dr}: one unit phase and two real
+growth factors, one of them exactly 1.  Its operands broadcast.  It carries
+a layer's amplitudes across the layer (``_step``, which then re-fits them to
+the next wavenumber), to the origin (``_to_origin``: the exterior (J3, J4)
+and ``layer_amplitudes``) and along the r axis (``values_at``, ``_evaluate``).
+Two drivers step through the layers: ``solve_regular`` (one complex k,
+``cmath.exp``) keeps ``LayerWave`` records for ``evaluate_chi`` and the Gamow
+states; ``exterior_amplitudes_batch`` (a 1-d array of k, ``np.exp``) carries
+only (a_out, a_in, ls) per lane, for ``spectral.jost`` with an array k.
 
 A layer whose q is exactly 0 (energy at its height) uses the basis
-{1, r - r0}; each driver handles that case itself.
+{1, r - r0}; each caller handles that case itself.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +34,13 @@ def _shift(q, a_out, a_in, dr, exp=cmath.exp):
     """Amplitudes re-referenced a distance dr to the right, in log-scaled form.
 
     Returns (a_out e^{iq dr}, a_in e^{-iq dr}) divided by e^m, and m: the
-    larger of the two growth exponents moves into the log scale.
+    larger of the two growth exponents moves into the log scale, so one of
+    the real factors e^{+-g - m} is exactly 1 and neither overflows.
     """
     g = -q.imag * dr  # growth exponent of the outgoing term over dr
     m = abs(g)
-    phase = 1j * q.real * dr
-    return a_out * exp(phase + (g - m)), a_in * exp(-phase + (-g - m)), m
+    phase = exp(1j * q.real * dr)
+    return a_out * phase * exp(g - m), a_in * phase.conjugate() * exp(-g - m), m
 
 
 def _step(q, a_out, a_in, dr, q_next, same, exp):
@@ -91,14 +91,21 @@ class LayerWave:
         return v, dv, self.log_scale + m
 
 
+def _to_origin(q, a_out, a_in, r_left, log_scale, exp):
+    """Un-scaled (c_out, c_in), chi = c_out e^{i q r} + c_in e^{-i q r}, of a
+    layer with q != 0; a value overflows only where the amplitude does."""
+    t_out, t_in, m = _shift(q, a_out, a_in, -r_left, exp)
+    s = exp(log_scale + m)
+    return s * t_out, s * t_in
+
+
 def _global_amplitudes(w: LayerWave) -> tuple[complex, complex]:
     """(c_out, c_in) of one layer with chi = c_out e^{i q r} + c_in e^{-i q r}."""
-    s = cmath.exp(w.log_scale)
     if w.q == 0:
         # basis {1, r}: constant term re-referenced to the origin
+        s = cmath.exp(w.log_scale)
         return s * (w.a_out - w.a_in * w.r_left), s * w.a_in
-    rot = 1j * w.q * w.r_left
-    return s * w.a_out * cmath.exp(-rot), s * w.a_in * cmath.exp(rot)
+    return _to_origin(w.q, w.a_out, w.a_in, w.r_left, w.log_scale, cmath.exp)
 
 
 @dataclass(frozen=True)
@@ -196,10 +203,7 @@ def exterior_amplitudes_batch(pot: Potential, scale: PhysicalScale, k) -> tuple[
                 new_in = np.where(fix, fix_in, new_in)
             a_out, a_in, ls = new_out, new_in, ls + m
             q, lin, r_left = q_next, lin_next, r_i
-        # the log scale shares one exponential with the re-referencing, so a
-        # lane overflows only where the amplitude itself does
-        rot = 1j * k * r_left
-        return a_out * np.exp(ls - rot), a_in * np.exp(ls + rot)
+        return _to_origin(q, a_out, a_in, r_left, ls, np.exp)
 
 
 def _linear_lanes(q, a_out, a_in, dr, q_next, lin, lin_next):
@@ -221,32 +225,23 @@ def _evaluate(sol: LayerSolution, r, derivative: int):
     rs = np.atleast_1d(rs)
     if np.any(rs < 0):
         raise ValueError("radius must be nonnegative")
-    out = np.empty(rs.shape, dtype=complex)
-    edges = np.asarray(sol.pot.breakpoints)
-    idx = np.searchsorted(edges, rs, side="right")
-    for layer in range(sol.pot.n_layers):
-        mask = idx == layer
-        if not mask.any():
-            continue
-        w = sol.layers[layer]
-        dr = rs[mask] - w.r_left
-        s = math.exp(w.log_scale)
-        if w.q == 0:
-            if derivative == 0:
-                out[mask] = s * (w.a_out + w.a_in * dr)
-            elif derivative == 1:
-                out[mask] = s * w.a_in
-            else:
-                out[mask] = 0.0
-            continue
-        e_out = np.exp(1j * w.q * dr)
-        e_in = np.exp(-1j * w.q * dr)
-        if derivative == 0:
-            out[mask] = s * (w.a_out * e_out + w.a_in * e_in)
-        elif derivative == 1:
-            out[mask] = s * 1j * w.q * (w.a_out * e_out - w.a_in * e_in)
-        else:
-            out[mask] = s * -(w.q ** 2) * (w.a_out * e_out + w.a_in * e_in)
+    # every radius takes the wave of its layer, so one kernel call covers all
+    idx = np.searchsorted(sol.pot.breakpoints, rs, side="right")
+    q, r_left, a_out, a_in, ls = (np.array(col)[idx] for col in zip(
+        *((w.q, w.r_left, w.a_out, w.a_in, w.log_scale) for w in sol.layers)))
+    dr = rs - r_left
+    t_out, t_in, m = _shift(q, a_out, a_in, dr, np.exp)
+    s = np.exp(ls + m)
+    if derivative == 1:
+        out = 1j * q * s * (t_out - t_in)
+    else:
+        out = s * (t_out + t_in)
+        if derivative == 2:
+            out *= -(q * q)
+    lin = q == 0
+    if derivative < 2 and lin.any():
+        # basis {1, r - r_left}; -q^2 chi already gives chi'' = 0 there
+        out[lin] = (s * (a_out + a_in * dr) if derivative == 0 else s * a_in)[lin]
     return out[0] if scalar else out
 
 

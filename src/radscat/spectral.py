@@ -103,9 +103,8 @@ def _jost_pair(k, j3, j4) -> JostPair:
 def _solved_pair(sol: LayerSolution) -> JostPair:
     """The pair of one scalar solve.
 
-    Raises OverflowError where J+- leave the float range: e^ls e^{+-ik r_b}
-    can overflow where neither factor does (nan from inf * 0), and so can
-    the factor 2 of a J4 near 1e308.
+    Raises OverflowError where J+- leave the float range, for example
+    through the factor 2 of a J4 near 1e308.
     """
     jp = _jost_pair(sol.k, *sol.exterior_amplitudes)
     if not (cmath.isfinite(jp.j_plus) and cmath.isfinite(jp.j_minus)):
@@ -226,8 +225,9 @@ def energy_transform(
             f"k_max={k_max:.3g}; refine the r grid",
             RuntimeWarning,
         )
-    coeffs = np.empty(e_grid.size, dtype=complex)
+    phi = np.empty((e_grid.size, r.size), dtype=complex)
     for i, energy in enumerate(e_grid):
-        phi = eigenfunction(kind, pot, scale, energy, r)
-        coeffs[i] = simpson(np.conj(phi) * psi, x=r)
-    return coeffs
+        phi[i] = eigenfunction(kind, pot, scale, energy, r)
+    np.conjugate(phi, out=phi)
+    phi *= psi
+    return simpson(phi, x=r, axis=-1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .potential import PhysicalScale, Potential, sqrt_branch
+from .potential import PhysicalScale, Potential, local_wavenumber, sqrt_branch
 from .spectral import Family, eigenfunction
 
 
@@ -38,8 +38,6 @@ def rk_oracle(pot, scale, k, r_samples, step: float | None = None, validate: boo
         raise ValueError("radius must be nonnegative")
     order = np.argsort(rs)
     sorted_rs = rs[order]
-
-    from .potential import local_wavenumber
 
     q0 = local_wavenumber(pot, scale, k, 0)
     kappa = scale.kappa
@@ -102,11 +100,11 @@ def _smeared_lhs_rhs(kind, pot, scale, center, width, r_max, n_r, n_e):
     g = np.exp(-((e - center) ** 2) / (2 * width ** 2))
     r = np.linspace(0.0, r_max, n_r)
     # w(r) = int dE g(E) <r|E>; the double smear collapses to int dr |w|^2
-    w = np.zeros(n_r, dtype=complex)
     phi = np.empty((n_e, n_r), dtype=complex)
     for i, energy in enumerate(e):
         phi[i] = eigenfunction(kind, pot, scale, energy, r)
-    w = simpson(g[:, None] * phi, x=e, axis=0)
+    phi *= g[:, None]
+    w = simpson(phi, x=e, axis=0)
     lhs_c = simpson(np.abs(w) ** 2, x=r)
     rhs = simpson(g ** 2, x=e)
     return float(np.real(lhs_c)), float(rhs)

@@ -124,6 +124,12 @@ class TestExitCodes:
         ("transform", {"transform": dict(SHELL_CFG["transform"], e_min=-1.0)}, "e_min"),
         ("transform", {"transform": dict(SHELL_CFG["transform"], n_e=0)}, "n_e"),
         ("criterion", {"criterion": {"label": "in", "grid": {"n_re": 0}}}, "no points"),
+        ("transform", {"transform": dict(SHELL_CFG["transform"], n_r=2)}, "n_r"),
+        ("transform", {"transform": dict(SHELL_CFG["transform"], e_min=10.0, e_max=1.0,
+                                         n_e=10)}, "e_max"),
+        ("eigenfunction", {"eigenfunction": dict(SHELL_CFG["eigenfunction"], n_r=-1)}, "n_r"),
+        ("eigenfunction", {"eigenfunction": dict(SHELL_CFG["eigenfunction"], r_min=-1.0)},
+         "r_min"),
     ])
     def test_out_of_range_value(self, capsys, tmp_path, command, section, err_part):
         cfg = self.write_cfg(tmp_path, **section)

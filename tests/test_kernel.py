@@ -1,11 +1,12 @@
-"""The k-batched propagation against the scalar solve and the oracles."""
+"""The layer kernel and the k-batched propagation against the scalar solve
+and the oracles."""
 
 import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from radscat import (
@@ -17,11 +18,79 @@ from radscat import (
     Potential,
     classify_eigensolution,
     check_symmetry,
+    evaluate_chi,
+    evaluate_chi_derivative,
     jost,
+    rk_oracle,
     s_matrix,
     shell_jost_plus_grid,
+    solve_regular,
     sqrt_branch,
 )
+from radscat.solution import _shift, exterior_amplitudes_batch
+
+
+def shift_by_definition(q, a_out, a_in, dr):
+    """(a_out e^{iq dr}, a_in e^{-iq dr}) / e^m from two complex exponentials."""
+    m = abs(q.imag * dr)
+    return (a_out * cmath.exp(1j * q * dr) / math.exp(m),
+            a_in * cmath.exp(-1j * q * dr) / math.exp(m), m)
+
+
+#: all four quadrants, both axes and 0
+QS = [2.5 + 1.5j, -2.5 + 1.5j, -2.5 - 1.5j, 2.5 - 1.5j, 3.0 + 0j, -3.0 + 0j, 2j, -2j, 0j]
+DRS = [-1.3, -0.4, 0.0, 0.25, 1.7]
+A_OUT, A_IN = 0.3 - 1.1j, -0.8 + 0.4j
+
+
+def assert_close(got, want, rtol=1e-14):
+    assert abs(got - want) <= rtol * abs(want), (got, want)
+
+
+class TestShift:
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("dr", DRS)
+    def test_scalar_matches_two_exponentials(self, q, dr):
+        t_out, t_in, m = _shift(q, A_OUT, A_IN, dr)
+        w_out, w_in, w_m = shift_by_definition(q, A_OUT, A_IN, dr)
+        assert m == w_m
+        assert_close(t_out, w_out)
+        assert_close(t_in, w_in)
+
+    def test_array_operands(self):
+        # an array of q with one dr (the k-batched steps), one q with an array
+        # of dr (the r axis), and both arrays at once
+        qs, drs = np.array(QS), np.array(DRS)
+        a_out = A_OUT * np.linspace(1.0, 2.0, qs.size)
+        cases = [(qs, a_out, A_IN, dr) for dr in DRS]
+        cases += [(q, A_OUT, A_IN, drs) for q in QS]
+        cases.append((qs[:, None], a_out[:, None], A_IN, drs[None, :]))
+        for q, a_o, a_i, dr in cases:
+            t_out, t_in, m = _shift(q, a_o, a_i, dr, np.exp)
+            for idx in np.ndindex(t_out.shape):
+                q_i, ao_i, ai_i, dr_i = (np.broadcast_to(x, t_out.shape)[idx]
+                                         for x in (q, a_o, a_i, dr))
+                w_out, w_in, w_m = shift_by_definition(
+                    complex(q_i), complex(ao_i), complex(ai_i), float(dr_i))
+                assert m[idx] == w_m
+                assert_close(t_out[idx], w_out)
+                assert_close(t_in[idx], w_in)
+
+    @pytest.mark.parametrize("q", [2.0 - 800j, 2.0 + 800j, -1.0 - 720j])
+    @pytest.mark.parametrize("dr", [1.0, -1.0])
+    def test_scaled_pair_finite_past_float_range(self, q, dr):
+        # |Im q| dr > 710: e^{+-iq dr} itself leaves the float range
+        with pytest.raises(OverflowError):
+            shift_by_definition(q, A_OUT, A_IN, dr)
+        for exp, qq in ((cmath.exp, q), (np.exp, np.array([q, 1.0 + 0j]))):
+            t_out, t_in, m = _shift(qq, A_OUT, A_IN, dr, exp)
+            assert np.all(np.isfinite(t_out)) and np.all(np.isfinite(t_in))
+            assert np.max(m) == abs(q.imag * dr)
+        # the growing term keeps its modulus, the other underflows
+        t_out, t_in, _ = _shift(q, A_OUT, A_IN, dr)
+        grows_out = -q.imag * dr > 0
+        assert abs(t_out if grows_out else t_in) == pytest.approx(abs(A_OUT if grows_out else A_IN))
+        assert (t_in if grows_out else t_out) == 0
 
 
 def assert_matches_scalar(pot, scale, ks, rtol=1e-12):
@@ -82,6 +151,23 @@ class TestBatchedJost:
     def test_linear_basis_lanes(self, scale, pot, ks):
         assert_matches_scalar(pot, scale, ks)
 
+    @pytest.mark.parametrize("pot", [
+        Potential((1.0, 2.0), (0.0, 8.0)),
+        Potential((0.5, 1.0, 1.6, 2.2), (3.0, 12.0, -4.0, 9.0)),
+    ])
+    def test_exterior_amplitudes_equal_scalar(self, scale, pot):
+        # both drivers form (J3, J4) with the same re-referencing to the
+        # origin; what is left is the rounding of the few layer steps
+        re, im = np.meshgrid(np.linspace(-8.0, 8.0, 21), np.linspace(-3.0, 3.0, 13))
+        ks = (re + 1j * im).ravel()
+        ks = ks[ks != 0]
+        j3, j4 = exterior_amplitudes_batch(pot, scale, ks)
+        for i, k in enumerate(ks):
+            w3, w4 = solve_regular(pot, scale, k).exterior_amplitudes
+            ref = max(abs(w3), abs(w4))
+            assert abs(j3[i] - w3) <= 1e-14 * ref, k
+            assert abs(j4[i] - w4) <= 1e-14 * ref, k
+
     def test_zero_lane_rejected(self, shell, scale):
         with pytest.raises(ValueError, match="k = 0"):
             jost(shell, scale, np.array([1.0, 0.0, 2.0]))
@@ -98,6 +184,47 @@ class TestBatchedJost:
         grid = GridSpec(re_min=-9e4, re_max=20.0, im_min=-1.8e3, im_max=1.8e3, n_re=4, n_im=2)
         rep = classify_eigensolution(Family.IN, shell, scale, grid)
         assert 0 < rep.n_nonfinite < grid.n_re * grid.n_im
+
+
+def five_point(f, h):
+    """df/dr from the rows f(r - 2h), f(r - h), f(r), f(r + h), f(r + 2h)."""
+    return (-f[4] + 8 * f[3] - 8 * f[1] + f[0]) / (12 * h)
+
+
+class TestRadialAxis:
+    @settings(max_examples=30, deadline=None)
+    @given(pot=potentials(),
+           k=st.complex_numbers(min_magnitude=0.5, max_magnitude=6.0,
+                                allow_nan=False, allow_infinity=False)
+           .filter(lambda k: abs(k.imag) <= 1.5),
+           flat=st.one_of(st.none(), st.tuples(st.integers(0, 5),
+                                               st.sampled_from([1.5, 2.0, 3.0]))))
+    def test_chi_and_derivative_match_rk_oracle(self, pot, k, flat):
+        scale = PhysicalScale(1.0)
+        if flat is not None:
+            # the energy sits exactly at one layer's height: q = 0 there
+            layer, root = flat
+            heights = list(pot.heights)
+            heights[layer % len(heights)] = root ** 2
+            pot, k = Potential(pot.breakpoints, tuple(heights)), complex(root)
+        else:
+            # a q that is tiny but not 0 loses digits in the e^{+-iqr} basis
+            # (about eps / |q r|): a known limit of that basis, which this
+            # property does not probe
+            assume(all(abs(k * k - v) > 1e-6 for v in pot.heights))
+        sol = solve_regular(pot, scale, k)
+        # layer midpoints and two exterior radii, away from the breakpoints so
+        # that the stencil stays inside one layer
+        edges = (0.0,) + pot.breakpoints
+        mids = [(a + b) / 2 for a, b in zip(edges, edges[1:])]
+        rs = np.array(mids + [pot.outer_radius + 0.3, pot.outer_radius + 1.1])
+        h = 1e-3
+        stencil = rs[None, :] + h * np.arange(-2, 3)[:, None]
+        oracle = rk_oracle(pot, scale, k, stencil.ravel()).reshape(stencil.shape)
+        chi = evaluate_chi(sol, rs)
+        assert np.max(np.abs(chi - oracle[2])) <= 1e-9 * np.max(np.abs(chi))
+        dchi = evaluate_chi_derivative(sol, rs)
+        assert np.max(np.abs(dchi - five_point(oracle, h))) <= 1e-7 * np.max(np.abs(dchi))
 
 
 class TestBatchedSMatrix:
