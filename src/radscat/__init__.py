@@ -11,7 +11,6 @@ from .solution import (
     LayerWave,
     evaluate_chi,
     evaluate_chi_derivative,
-    evaluate_chi_second_derivative,
     solve_regular,
 )
 from .spectral import (

@@ -100,14 +100,6 @@ class GamowState:
     def gamma(self) -> float:
         return 2 * abs(self.z_pole.imag)
 
-    @property
-    def amplitudes(self) -> tuple[tuple[complex, complex], ...]:
-        """Per-layer (c_out, c_in); the exterior incoming amplitude is exactly 0."""
-        amps = [(self.prefactor * co, self.prefactor * ci)
-                for co, ci in self.sol.layer_amplitudes]
-        amps[-1] = (self.norm, 0j)
-        return tuple(amps)
-
 
 def _phase_sum(f, z0, z1, f0, f1, depth=0):
     """Accumulated phase of f along the segment [z0, z1], adaptively refined."""
@@ -257,13 +249,14 @@ def _split_cell(f, rect: Region, w: int) -> list[tuple[Region, int]]:
 def _build_state(pot: Potential, scale: PhysicalScale, k_pole: complex, kind: str) -> GamowState:
     sol = solve_regular(pot, scale, k_pole)
     j3, j4 = sol.exterior_amplitudes
-    # the residual floor is set by the largest intermediate in the matching
-    # chain (under-barrier amplitudes can dwarf the exterior coefficients),
-    # so scale the check by it rather than by |J3| alone
+    # the residual floor is set by the largest intermediate in the transfer
+    # chain (under-barrier values can dwarf the exterior coefficients), so
+    # scale the check by it rather than by |J3| alone; chi'/k puts the slope
+    # in the units of an amplitude
     local = max(abs(j3), 1e-30)
     for w in sol.layers:
         s = math.exp(min(w.log_scale, 700.0))
-        local = max(local, abs(w.a_out) * s, abs(w.a_in) * s)
+        local = max(local, abs(w.chi) * s, abs(w.dchi / k_pole) * s)
     if abs(j4) > POLE_RESIDUAL_RTOL * local:
         raise ValueError(f"k={k_pole} is not a zero of Jplus: |J4|={abs(j4):.3e}")
     norm_sq = residue_norm(pot, scale, k_pole)

@@ -1,33 +1,77 @@
-"""Regular solution of the radial Schrodinger equation by interface matching.
+"""Regular solution of the radial Schrodinger equation by transfer matrices.
 
-The solution chi(r; k) starts as sin(q0 r) in the innermost layer and is
-propagated across each breakpoint by enforcing continuity of chi and chi'.
-Per layer, chi = exp(ls) * (a_out e^{i q (r - r0)} + a_in e^{-i q (r - r0)})
-with r0 the left edge; the real exponent ls absorbs exponential growth so
-that deep-complex-k evaluations do not overflow.
+chi(r; k) starts as sin(q0 r) in the innermost layer: chi(0) = 0 and
+chi'(0) = q0, or chi = r when q0 = 0.  In a layer of wavenumber q, (chi, chi')
+moves a distance dr by [[cos q dr, sin(q dr)/q], [-q sin q dr, cos q dr]],
+which is entire in q^2: a tiny or zero q needs no basis of its own, and a
+breakpoint, where chi and chi' are continuous, needs no matching step.  One
+kernel, ``_transfer``, forms the entries divided by e^{|Im q dr|}; the
+exponent goes into a real log scale, so deep-complex-k solves do not overflow.
 
-One kernel, ``_shift``, forms every e^{+-iq dr}: one unit phase and two real
-growth factors, one of them exactly 1.  Its operands broadcast.  It carries
-a layer's amplitudes across the layer (``_step``, which then re-fits them to
-the next wavenumber), to the origin (``_to_origin``: the exterior (J3, J4)
-and ``layer_amplitudes``) and along the r axis (``values_at``, ``_evaluate``).
-Two drivers step through the layers: ``solve_regular`` (one complex k,
-``cmath.exp``) keeps ``LayerWave`` records for ``evaluate_chi`` and the Gamow
-states; ``exterior_amplitudes_batch`` (a 1-d array of k, ``np.exp``) carries
-only (a_out, a_in, ls) per lane, for ``spectral.jost`` with an array k.
+Runs.  Adjacent layers of equal height form a run, carried in one transfer
+from its start; each layer of the run keeps the record of that start.  The
+exterior (J3, J4), chi = J3 e^{ikr} + J4 e^{-ikr}, is fitted (``_fit``) at the
+start of the exterior's run and re-referenced to the origin (``_shift``): a
+fit further out would lose the subdominant term to the rounding of the
+dominant one, eps e^{2 |Im k| r}.  So cutting a layer into equal-height
+pieces leaves J+- unchanged bit for bit.
 
-A layer whose q is exactly 0 (energy at its height) uses the basis
-{1, r - r0}; each caller handles that case itself.
+Two drivers walk the runs (``_walk``): ``solve_regular`` (one complex k,
+``math``) keeps ``LayerWave`` records for ``evaluate_chi`` and the Gamow
+states; ``exterior_amplitudes_batch`` (a 1-d array of k, numpy) keeps the
+last start per lane, for ``spectral.jost`` with an array k.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .potential import PhysicalScale, Potential, local_wavenumber, sqrt_branch
+
+
+def _transfer(q, dr, xp=math):
+    """Transfer-matrix entries (cos(q dr), sin(q dr)/q, q sin(q dr)), each
+    divided by e^m, and m = |Im q dr|.
+
+    With x + iy = q dr they are built from cos x, sin x and expm1(-2|y|), so
+    none overflows and a tiny q loses no digits; q = 0 gives (1, dr, 0).
+    ``xp`` is ``math`` for one complex q or ``np`` for arrays, whose operands
+    broadcast.  A conjugate q gives the conjugate entries bit for bit.
+    """
+    x, y = q.real * dr, q.imag * dr
+    m = abs(y)
+    h = -0.5 * xp.expm1(-2 * m)  # sinh|y| / e^|y|; cosh y / e^|y| = 1 - h
+    sh = xp.copysign(h, y)
+    cx, sx, ch = xp.cos(x), xp.sin(x), 1 - h
+    if xp is math:
+        c, sn = complex(cx * ch, -sx * sh), complex(sx * ch, cx * sh)
+        s = sn / q if q else complex(dr)
+    else:
+        c, sn = _complex(cx, ch, -sx, sh), _complex(sx, ch, cx, sh)
+        if q.all():
+            s = sn / q
+        else:
+            s = np.where(q == 0, dr, sn / np.where(q == 0, 1, q))
+    return c, s, q * sn, m
+
+
+def _complex(a, b, c, d):
+    """a b + i c d as a new complex array, formed in place from real parts."""
+    z = np.empty(a.shape, complex)
+    np.multiply(a, b, out=z.real)
+    np.multiply(c, d, out=z.imag)
+    return z
+
+
+def _carry(q, chi, dchi, dr, xp=math):
+    """(chi, chi') a distance dr further on, in a layer of wavenumber q, and
+    the exponent m they were divided by."""
+    c, s, qs, m = _transfer(q, dr, xp)
+    return chi * c + dchi * s, dchi * c - chi * qs, m
 
 
 def _shift(q, a_out, a_in, dr, exp=cmath.exp):
@@ -43,80 +87,59 @@ def _shift(q, a_out, a_in, dr, exp=cmath.exp):
     return a_out * phase * exp(g - m), a_in * phase.conjugate() * exp(-g - m), m
 
 
-def _step(q, a_out, a_in, dr, q_next, same, exp):
-    """One breakpoint: (a_out, a_in) of wavenumber q carried over dr and re-fit
-    to q_next.  Returns (a_out', a_in', m) with m added to the log scale.
-
-    ``same`` (no height change) keeps the shifted amplitudes as they are:
-    re-fitting from (chi, chi') would amplify rounding by the layer's growth
-    factor.  Both q and q_next must be nonzero.
-    """
-    t_out, t_in, m = _shift(q, a_out, a_in, dr, exp)
-    if same:
-        return t_out, t_in, m
-    a_out, a_in = _fit(t_out + t_in, 1j * q * (t_out - t_in), q_next)
-    return a_out, a_in, m
-
-
 def _fit(v, dv, q):
-    """(a_out, a_in) of wavenumber q from (chi, chi') at a layer's left edge."""
+    """(a_out, a_in) of wavenumber q, referenced to the point of (chi, chi')."""
     w = dv / (1j * q)
     return (v + w) / 2, (v - w) / 2
 
 
-@dataclass(frozen=True)
-class LayerWave:
-    """Amplitudes of one layer in left-edge-referenced, log-scaled form.
-
-    If ``q == 0`` the basis degenerates to {1, r - r_left} and (a_out, a_in)
-    are the (constant, slope) coefficients instead.
-    """
-
-    q: complex
-    r_left: float
-    a_out: complex
-    a_in: complex
-    log_scale: float = 0.0
-
-    def values_at(self, dr: float | complex) -> tuple[complex, complex, float]:
-        """(chi, chi', log_scale) at distance dr from the left edge.
-
-        The returned pair is scaled: actual values are exp(log_scale) larger.
-        """
-        if self.q == 0:
-            return (self.a_out + self.a_in * dr, self.a_in, self.log_scale)
-        t_out, t_in, m = _shift(self.q, self.a_out, self.a_in, float(dr))
-        v = t_out + t_in
-        dv = 1j * self.q * (t_out - t_in)
-        return v, dv, self.log_scale + m
-
-
-def _to_origin(q, a_out, a_in, r_left, log_scale, exp):
-    """Un-scaled (c_out, c_in), chi = c_out e^{i q r} + c_in e^{-i q r}, of a
-    layer with q != 0; a value overflows only where the amplitude does."""
-    t_out, t_in, m = _shift(q, a_out, a_in, -r_left, exp)
+def _exterior(k, r_left, chi, dchi, log_scale, exp):
+    """Un-scaled (J3, J4) from (chi, chi') at r_left, the start of the
+    exterior's run; a value overflows only where the amplitude does."""
+    a_out, a_in = _fit(chi, dchi, k)
+    t_out, t_in, m = _shift(k, a_out, a_in, -r_left, exp)
     s = exp(log_scale + m)
     return s * t_out, s * t_in
 
 
-def _global_amplitudes(w: LayerWave) -> tuple[complex, complex]:
-    """(c_out, c_in) of one layer with chi = c_out e^{i q r} + c_in e^{-i q r}."""
-    if w.q == 0:
-        # basis {1, r}: constant term re-referenced to the origin
-        s = cmath.exp(w.log_scale)
-        return s * (w.a_out - w.a_in * w.r_left), s * w.a_in
-    return _to_origin(w.q, w.a_out, w.a_in, w.r_left, w.log_scale, cmath.exp)
+def _walk(pot: Potential, wavenumber, q, chi, dchi, xp):
+    """(q, r_left, chi, chi', log_scale) of every layer, the exterior last,
+    with the log-scaled pair at r_left, the start of the layer's run.
+
+    ``wavenumber(i)`` is the q of layer i; (q, chi, dchi) start the innermost
+    layer at r = 0.
+    """
+    heights = pot.heights + (0.0,)
+    r_left, ls = 0.0, 0.0
+    for i, r in enumerate((0.0,) + pot.breakpoints):
+        if i and heights[i] != heights[i - 1]:
+            chi, dchi, m = _carry(q, chi, dchi, r - r_left, xp)
+            q, r_left, ls = wavenumber(i), r, ls + m
+        yield q, r_left, chi, dchi, ls
+
+
+@dataclass(frozen=True)
+class LayerWave:
+    """One layer's (chi, chi') at ``r_left``, the left edge of the layer's run
+    of equal heights, in log-scaled form: the actual values are
+    exp(log_scale) larger."""
+
+    q: complex
+    r_left: float
+    chi: complex
+    dchi: complex
+    log_scale: float = 0.0
+
+    def values_at(self, dr: float) -> tuple[complex, complex, float]:
+        """(chi, chi', log_scale) at distance dr from ``r_left``; the actual
+        values are exp(log_scale) larger."""
+        chi, dchi, m = _carry(self.q, self.chi, self.dchi, float(dr))
+        return chi, dchi, self.log_scale + m
 
 
 @dataclass(frozen=True)
 class LayerSolution:
-    """chi(r; k) as per-layer amplitude pairs.
-
-    ``layer_amplitudes`` gives the global-convention coefficients (c_out, c_in)
-    with chi = c_out e^{i q r} + c_in e^{-i q r} on each layer; on the
-    exterior these are the outgoing/incoming coefficients whose combinations
-    form the Jost functions.
-    """
+    """chi(r; k) as per-layer (chi, chi') records; the exterior is last."""
 
     k: complex
     pot: Potential
@@ -124,13 +147,11 @@ class LayerSolution:
     layers: tuple[LayerWave, ...]
 
     @property
-    def layer_amplitudes(self) -> tuple[tuple[complex, complex], ...]:
-        return tuple(_global_amplitudes(w) for w in self.layers)
-
-    @property
     def exterior_amplitudes(self) -> tuple[complex, complex]:
-        """(c_out, c_in) of the exterior layer: the shell's (J3, J4)."""
-        return _global_amplitudes(self.layers[-1])
+        """(c_out, c_in) of the exterior, chi = c_out e^{ikr} + c_in e^{-ikr}:
+        the shell's (J3, J4)."""
+        w = self.layers[-1]
+        return _exterior(w.q, w.r_left, w.chi, w.dchi, w.log_scale, cmath.exp)
 
 
 def solve_regular(pot: Potential, scale: PhysicalScale, k: complex) -> LayerSolution:
@@ -142,28 +163,10 @@ def solve_regular(pot: Potential, scale: PhysicalScale, k: complex) -> LayerSolu
     k = complex(k)
     if k == 0:
         raise ValueError("k = 0 is degenerate: sin(kr) vanishes identically")
-
     q0 = local_wavenumber(pot, scale, k, 0)
-    if q0 == 0:
-        # energy exactly at the innermost height: chi = r is the regular limit
-        first = LayerWave(q=0j, r_left=0.0, a_out=0j, a_in=1 + 0j)
-    else:
-        half_i = 1 / 2j
-        first = LayerWave(q=q0, r_left=0.0, a_out=half_i, a_in=-half_i)
-
-    layers = [first]
-    for i, r_i in enumerate(pot.breakpoints):
-        prev = layers[-1]
-        q = local_wavenumber(pot, scale, k, i + 1)
-        dr = r_i - prev.r_left
-        if q == 0 or prev.q == 0:
-            v, dv, ls = prev.values_at(dr)
-            a_out, a_in = (v, dv) if q == 0 else _fit(v, dv, q)
-        else:
-            a_out, a_in, m = _step(prev.q, prev.a_out, prev.a_in, dr, q, q == prev.q, cmath.exp)
-            ls = prev.log_scale + m
-        layers.append(LayerWave(q=q, r_left=r_i, a_out=a_out, a_in=a_in, log_scale=ls))
-    return LayerSolution(k=k, pot=pot, scale=scale, layers=tuple(layers))
+    walk = _walk(pot, lambda i: local_wavenumber(pot, scale, k, i),
+                 q0, 0j, q0 if q0 else 1 + 0j, math)
+    return LayerSolution(k=k, pot=pot, scale=scale, layers=tuple(LayerWave(*w) for w in walk))
 
 
 def exterior_amplitudes_batch(pot: Potential, scale: PhysicalScale, k) -> tuple[np.ndarray, np.ndarray]:
@@ -179,83 +182,38 @@ def exterior_amplitudes_batch(pot: Potential, scale: PhysicalScale, k) -> tuple[
     heights = pot.heights + (0.0,)
     k2 = k * k
 
-    def wavenumbers(v):
+    def wavenumber(i):
         # free layers follow the sign of k, as in local_wavenumber
-        return k if v == 0.0 else sqrt_branch(k2 - scale.kappa * v)
+        return k if heights[i] == 0.0 else sqrt_branch(k2 - scale.kappa * heights[i])
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        q = wavenumbers(heights[0])
-        lin = q == 0  # energy at the innermost height: chi = r
-        a_out = np.where(lin, 0j, 1 / 2j)
-        a_in = np.where(lin, 1 + 0j, -1 / 2j)
-        ls = np.zeros(k.shape)
-        r_left = 0.0
-        for i, r_i in enumerate(pot.breakpoints):
-            same = heights[i + 1] == heights[i]
-            q_next = q if same else wavenumbers(heights[i + 1])
-            dr = r_i - r_left
-            new_out, new_in, m = _step(q, a_out, a_in, dr, q_next, same, np.exp)
-            lin_next = q_next == 0
-            if lin.any() or lin_next.any():
-                fix = lin | lin_next
-                fix_out, fix_in = _linear_lanes(q, a_out, a_in, dr, q_next, lin, lin_next)
-                new_out = np.where(fix, fix_out, new_out)
-                new_in = np.where(fix, fix_in, new_in)
-            a_out, a_in, ls = new_out, new_in, ls + m
-            q, lin, r_left = q_next, lin_next, r_i
-        return _to_origin(q, a_out, a_in, r_left, ls, np.exp)
+        q0 = wavenumber(0)
+        *_, last = _walk(pot, wavenumber, q0, np.zeros_like(k), np.where(q0 == 0, 1, q0), np)
+        return _exterior(*last, np.exp)
 
 
-def _linear_lanes(q, a_out, a_in, dr, q_next, lin, lin_next):
-    """The step for lanes where q (mask ``lin``) or q_next (``lin_next``) is 0.
-
-    On such a layer (a_out, a_in) are the (constant, slope) coefficients of
-    the basis {1, r - r0}; the other lanes' values are discarded by the caller.
-    """
-    t_out, t_in, _ = _shift(q, a_out, a_in, dr, np.exp)  # m = 0 where q = 0
-    v = np.where(lin, a_out + a_in * dr, t_out + t_in)
-    dv = np.where(lin, a_in, 1j * q * (t_out - t_in))
-    fit_out, fit_in = _fit(v, dv, q_next)
-    return np.where(lin_next, v, fit_out), np.where(lin_next, dv, fit_in)
-
-
-def _evaluate(sol: LayerSolution, r, derivative: int):
+def _evaluate(sol: LayerSolution, r, derivative: bool):
     rs = np.asarray(r, dtype=float)
     scalar = rs.ndim == 0
     rs = np.atleast_1d(rs)
     if np.any(rs < 0):
         raise ValueError("radius must be nonnegative")
-    # every radius takes the wave of its layer, so one kernel call covers all
+    # every radius takes the record of its layer, so one kernel call covers all
     idx = np.searchsorted(sol.pot.breakpoints, rs, side="right")
-    q, r_left, a_out, a_in, ls = (np.array(col)[idx] for col in zip(
-        *((w.q, w.r_left, w.a_out, w.a_in, w.log_scale) for w in sol.layers)))
-    dr = rs - r_left
-    t_out, t_in, m = _shift(q, a_out, a_in, dr, np.exp)
-    s = np.exp(ls + m)
-    if derivative == 1:
-        out = 1j * q * s * (t_out - t_in)
-    else:
-        out = s * (t_out + t_in)
-        if derivative == 2:
-            out *= -(q * q)
-    lin = q == 0
-    if derivative < 2 and lin.any():
-        # basis {1, r - r_left}; -q^2 chi already gives chi'' = 0 there
-        out[lin] = (s * (a_out + a_in * dr) if derivative == 0 else s * a_in)[lin]
+    q, r_left, chi, dchi, ls = (np.array(col)[idx] for col in zip(
+        *((w.q, w.r_left, w.chi, w.dchi, w.log_scale) for w in sol.layers)))
+    c, s, qs, m = _transfer(q, rs - r_left, np)
+    out = dchi * c - chi * qs if derivative else chi * c + dchi * s
+    out *= np.exp(ls + m)
     return out[0] if scalar else out
 
 
 def evaluate_chi(sol: LayerSolution, r):
     """chi(r; k), vectorized over r.  Breakpoints evaluate on the right layer
     (the two sides agree by construction)."""
-    return _evaluate(sol, r, 0)
+    return _evaluate(sol, r, False)
 
 
 def evaluate_chi_derivative(sol: LayerSolution, r):
     """d chi/dr, analytic per layer."""
-    return _evaluate(sol, r, 1)
-
-
-def evaluate_chi_second_derivative(sol: LayerSolution, r):
-    """d^2 chi/dr^2 = -q^2 chi per layer; used for residual bookkeeping checks."""
-    return _evaluate(sol, r, 2)
+    return _evaluate(sol, r, True)

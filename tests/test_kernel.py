@@ -1,4 +1,4 @@
-"""The layer kernel and the k-batched propagation against the scalar solve
+"""The layer kernels and the k-batched propagation against the scalar solve
 and the oracles."""
 
 import cmath
@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radscat import (
@@ -27,7 +27,7 @@ from radscat import (
     solve_regular,
     sqrt_branch,
 )
-from radscat.solution import _shift, exterior_amplitudes_batch
+from radscat.solution import _shift, _transfer, exterior_amplitudes_batch
 
 
 def shift_by_definition(q, a_out, a_in, dr):
@@ -45,6 +45,62 @@ A_OUT, A_IN = 0.3 - 1.1j, -0.8 + 0.4j
 
 def assert_close(got, want, rtol=1e-14):
     assert abs(got - want) <= rtol * abs(want), (got, want)
+
+
+def transfer_by_definition(q, dr):
+    """(cos(q dr), sin(q dr)/q, q sin(q dr)) / e^m from cmath."""
+    m = abs(q.imag * dr)
+    sin = cmath.sin(q * dr)
+    return (cmath.cos(q * dr) / math.exp(m), (sin / q if q else dr) / math.exp(m),
+            q * sin / math.exp(m), m)
+
+
+class TestTransfer:
+    def test_matches_cmath(self):
+        # the scalar kernel one pair at a time, the array kernel on the grid
+        qs, drs = np.array(QS)[:, None], np.array(DRS)[None, :]
+        arrays = _transfer(qs, drs, np)
+        for i, q in enumerate(QS):
+            for j, dr in enumerate(DRS):
+                want = transfer_by_definition(q, dr)
+                for got in (_transfer(q, dr), [x[i, j] for x in arrays]):
+                    assert got[3] == want[3]
+                    for g, w in zip(got[:3], want[:3]):
+                        assert abs(g - w) <= 1e-14 * max(abs(w), 1.0), (q, dr)
+
+    @pytest.mark.parametrize("dr", DRS)
+    def test_zero_q_gives_dr(self, dr):
+        assert _transfer(0j, dr) == (1, dr, 0, 0)
+        c, s, qs, m = _transfer(np.array([0j, 1.0 + 0j]), dr, np)
+        assert (c[0], s[0], qs[0], m[0]) == (1, dr, 0, 0)
+
+    def test_conjugate_q_gives_conjugate_entries_exactly(self):
+        # the standing-wave criterion compares J+(k) with its mirror at conj k
+        qs = np.array(QS + [1e-300 + 1e-300j, 3.0 + 1e-9j, 1e-9 - 2.0j])
+        for dr in DRS:
+            for q in qs:
+                got, mirror = _transfer(complex(q), dr), _transfer(complex(q).conjugate(), dr)
+                assert mirror[:3] == tuple(x.conjugate() for x in got[:3]), (q, dr)
+                assert mirror[3] == got[3]
+            got, mirror = _transfer(qs, dr, np), _transfer(qs.conjugate(), dr, np)
+            for g, w in zip(mirror[:3], got[:3]):
+                assert np.array_equal(g, w.conjugate()), dr
+            assert np.array_equal(mirror[3], got[3])
+
+    @pytest.mark.parametrize("q", [2.0 - 800j, 2.0 + 800j, -1.0 - 720j])
+    @pytest.mark.parametrize("dr", [1.0, -1.0])
+    def test_finite_past_float_range(self, q, dr):
+        # |Im q dr| > 710: cos(q dr) and sin(q dr) themselves overflow
+        with pytest.raises(OverflowError):
+            transfer_by_definition(q, dr)
+        for got in (_transfer(q, dr), _transfer(np.array([q, 1.0 + 0j]), dr, np)):
+            assert all(np.all(np.isfinite(x)) for x in got)
+            assert np.max(got[3]) == abs(q.imag * dr)
+        c, s, qs, _ = _transfer(q, dr)
+        # each entry is about e^{|y|}/2 before the division by e^{|y|}
+        assert abs(c) == pytest.approx(0.5)
+        assert abs(s * q) == pytest.approx(0.5)
+        assert abs(qs / q) == pytest.approx(0.5)
 
 
 class TestShift:
@@ -143,9 +199,9 @@ class TestBatchedJost:
     @pytest.mark.parametrize("pot, ks", [
         # q = 0 in the middle layer at k = 3, in the innermost layer at k = 2
         (Potential((1.0, 2.0, 2.5), (4.0, 9.0, 1.0)), [3.0, 2.0, 1.0, 2.5 - 0.3j]),
-        # equal heights at the energy: two adjacent linear-basis layers
+        # equal heights at the energy: two adjacent q = 0 layers
         (Potential((0.5, 1.0, 1.5), (9.0, 9.0, 2.0)), [3.0, 3.0 + 1e-3j, 1.5]),
-        # a linear layer after a free one and before the free exterior
+        # a q = 0 layer after a free one and before the free exterior
         (Potential((0.7, 1.4), (0.0, 16.0)), [4.0, -4.0, 4.0 - 2.0j]),
     ])
     def test_linear_basis_lanes(self, scale, pot, ks):
@@ -167,6 +223,25 @@ class TestBatchedJost:
             ref = max(abs(w3), abs(w4))
             assert abs(j3[i] - w3) <= 1e-14 * ref, k
             assert abs(j4[i] - w4) <= 1e-14 * ref, k
+
+    @pytest.mark.parametrize("pot, split, im_max", [
+        # the free potential cut into 10 pieces, far into both half planes
+        (Potential((1.0,), (0.0,)), Potential(tuple(0.1 * i for i in range(1, 11)), (0.0,) * 10),
+         8.0),
+        # two of four layers cut in two
+        (Potential((0.5, 1.0, 1.6, 2.2), (3.0, 12.0, -4.0, 9.0)),
+         Potential((0.5, 0.7, 1.0, 1.6, 1.9, 2.2), (3.0, 12.0, 12.0, -4.0, 9.0, 9.0)), 3.0),
+    ])
+    def test_split_layers_give_identical_jost(self, scale, pot, split, im_max):
+        # a run of equal heights is carried in one transfer from its start
+        re, im = np.meshgrid(np.linspace(-8.0, 8.0, 17), np.linspace(-im_max, im_max, 17))
+        ks = (re + 1j * im).ravel()
+        ks = ks[ks != 0]
+        for k in ks:
+            assert jost(split, scale, k) == jost(pot, scale, k), k
+        batch, batch_split = jost(pot, scale, ks), jost(split, scale, ks)
+        assert np.array_equal(batch.j_plus, batch_split.j_plus)
+        assert np.array_equal(batch.j_minus, batch_split.j_minus)
 
     def test_zero_lane_rejected(self, shell, scale):
         with pytest.raises(ValueError, match="k = 0"):
@@ -207,11 +282,6 @@ class TestRadialAxis:
             heights = list(pot.heights)
             heights[layer % len(heights)] = root ** 2
             pot, k = Potential(pot.breakpoints, tuple(heights)), complex(root)
-        else:
-            # a q that is tiny but not 0 loses digits in the e^{+-iqr} basis
-            # (about eps / |q r|): a known limit of that basis, which this
-            # property does not probe
-            assume(all(abs(k * k - v) > 1e-6 for v in pot.heights))
         sol = solve_regular(pot, scale, k)
         # layer midpoints and two exterior radii, away from the breakpoints so
         # that the stencil stays inside one layer
@@ -225,6 +295,20 @@ class TestRadialAxis:
         assert np.max(np.abs(chi - oracle[2])) <= 1e-9 * np.max(np.abs(chi))
         dchi = evaluate_chi_derivative(sol, rs)
         assert np.max(np.abs(dchi - five_point(oracle, h))) <= 1e-7 * np.max(np.abs(dchi))
+
+    @pytest.mark.parametrize("pot, k", [
+        # q = sqrt(k^2 - 25) in the layer is about 2e-10 (1 + i), then 3e-123 (1 + i)
+        (Potential((0.5,), (25.0,)), 5 + 1e-20j),
+        (Potential((0.5,), (25.0,)), 5 + 1.64e-246j),
+        # k^2 rounds to just below 3: q is about 2e-8 i in the outer layer
+        (Potential((0.5, 0.75), (0.0, 3.0)), complex(math.sqrt(3))),
+    ])
+    def test_tiny_q_matches_rk_oracle(self, pot, k):
+        scale = PhysicalScale(1.0)
+        rs = np.linspace(0.05, 1.5, 30)
+        chi = evaluate_chi(solve_regular(pot, scale, k), rs)
+        oracle = rk_oracle(pot, scale, k, rs)
+        assert np.max(np.abs(chi - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
 
 class TestBatchedSMatrix:
