@@ -24,9 +24,14 @@ def sqrt_branch(value):
     """
     if getattr(value, "ndim", 0):
         z = np.asarray(value, dtype=complex)
-        cut = (z.real < 0) & (z.imag == 0)
-        root = np.where(cut, 1j * np.sqrt(np.abs(z.real)), np.sqrt(z))
-        return np.where(z == 0, 0j, root)
+        root = np.sqrt(z)
+        # np.sqrt puts a -0.0 imaginary part on the lower edge and keeps the
+        # sign of a zero's imaginary part; fix up the cut and zero lanes only
+        on_axis = z.imag == 0
+        if np.count_nonzero(on_axis):
+            cut = on_axis & (z.real <= 0)
+            root[cut] = 1j * np.sqrt(np.abs(z.real[cut]))
+        return root
     return _sqrt_branch_scalar(value)
 
 

@@ -2,8 +2,18 @@
 
 The finder combines an argument-principle winding count over the search
 rectangle (so no root can be silently missed) with quadtree subdivision and
-Newton refinement.  Residue normalizations are computed two independent ways
-(contour integral of S and the derivative formula) and must agree.
+Newton refinement.  The counts come from one batched contour pass
+(``_windings``) that serves a whole set of rectangles at once: Jplus is
+evaluated on every edge point of every rectangle in one call, then, depth by
+depth, on the midpoints of all segments whose phase step has not settled in
+one call more.  The quadtree is walked breadth first, so all cells of a level
+that need splitting share one pass; the cells whose split lines hit a zero
+retry with the next split fraction in one more pass.  Newton refines each
+single-zero cell from its center with scalar solves.  (ZEAL batches the
+contours of a level the same way: Kravanja, Van Barel & Haegemans, Comput.
+Phys. Commun. 124 (2000) 212.)  Residue normalizations are computed two
+independent ways (contour integral of S and the derivative formula) and must
+agree.
 """
 
 from __future__ import annotations
@@ -101,35 +111,82 @@ class GamowState:
         return 2 * abs(self.z_pole.imag)
 
 
-def _phase_sum(f, z0, z1, f0, f1, depth=0):
-    """Accumulated phase of f along the segment [z0, z1], adaptively refined."""
-    if f0 == 0 or f1 == 0:
-        raise ContourError(f"zero of f on the contour near {z0}")
-    dphi = cmath.phase(f1 / f0)
-    ratio = abs(f1) / abs(f0)
-    if abs(dphi) <= 0.5 and 0.25 <= ratio <= 4.0:
-        return dphi
-    if depth > 48:
-        raise ContourError(f"phase tracking did not settle on [{z0}, {z1}]")
-    zm = (z0 + z1) / 2
-    fm = f(zm)
-    return _phase_sum(f, z0, zm, f0, fm, depth + 1) + _phase_sum(f, zm, z1, fm, f1, depth + 1)
+def _lanes(f, z: np.ndarray) -> np.ndarray:
+    """f on every point of z in one call; a non-finite value raises
+    OverflowError, as a scalar Jost solve does."""
+    v = np.asarray(f(z.ravel())).reshape(z.shape)
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise OverflowError(f"f is not finite at k={z[~finite].flat[0]}")
+    return v
+
+
+def _windings(f, rects: list[Region], n_per_side: int = 16) -> list[int | ContourError]:
+    """Argument-principle count of zeros of f inside each rectangle, or the
+    ContourError that stopped it.
+
+    f takes a 1-d array of k.  Each side carries n_per_side + 1 points; a
+    segment settles when |arg(f1/f0)| <= 0.5 and |f1/f0| lies in [0.25, 4],
+    and is halved otherwise, down to depth 48.  One call of f takes the edge
+    points of all rectangles, and one more each depth takes the midpoints of
+    every unsettled segment of the rectangles that have not failed.
+    """
+    n = len(rects)
+    errors: list[ContourError | None] = [None] * n
+
+    def fail(mask, message):
+        for i in np.flatnonzero(mask):
+            if errors[owner[i]] is None:
+                errors[owner[i]] = ContourError(message(i))
+
+    corners = np.array([r.corners() for r in rects])
+    c0, c1 = corners[..., None], np.roll(corners, -1, axis=1)[..., None]
+    z = c0 + np.linspace(0.0, 1.0, n_per_side + 1) * (c1 - c0)
+    fz = _lanes(f, z)
+    z0, z1 = z[..., :-1].ravel(), z[..., 1:].ravel()
+    f0, f1 = fz[..., :-1].ravel(), fz[..., 1:].ravel()
+    owner = np.repeat(np.arange(n), 4 * n_per_side)
+    total = np.zeros(n)
+    for depth in range(50):
+        fail((f0 == 0) | (f1 == 0), lambda i: f"zero of f on the contour near {z0[i]}")
+        live = np.array([e is None for e in errors])[owner]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dphi = np.angle(f1 / f0)
+            ratio = np.abs(f1) / np.abs(f0)
+        settled = live & (np.abs(dphi) <= 0.5) & (0.25 <= ratio) & (ratio <= 4.0)
+        total += np.bincount(owner[settled], dphi[settled], n)
+        rest = live & ~settled
+        if not rest.any():
+            break
+        if depth == 49:
+            fail(rest, lambda i: f"phase tracking did not settle on [{z0[i]}, {z1[i]}]")
+            break
+        z0, z1, f0, f1, owner = z0[rest], z1[rest], f0[rest], f1[rest], owner[rest]
+        zm = (z0 + z1) / 2
+        fm = _lanes(f, zm)
+        z0, z1 = np.concatenate((z0, zm)), np.concatenate((zm, z1))
+        f0, f1 = np.concatenate((f0, fm)), np.concatenate((fm, f1))
+        owner = np.concatenate((owner, owner))
+
+    out: list[int | ContourError] = []
+    for rect, err, phase in zip(rects, errors, total):
+        turns = float(phase) / (2 * math.pi)
+        w = round(turns)
+        if err is None and abs(turns - w) > 0.05:
+            err = ContourError(f"non-integer winding {turns:.4f} over {rect}")
+        out.append(w if err is None else err)
+    return out
 
 
 def winding_number(f, region: Region, n_per_side: int = 16) -> int:
-    """Argument-principle count of zeros of analytic f inside the rectangle."""
-    corners = region.corners()
-    total = 0.0
-    for c0, c1 in zip(corners, corners[1:] + corners[:1]):
-        ts = np.linspace(0.0, 1.0, n_per_side + 1)
-        zs = [c0 + t * (c1 - c0) for t in ts]
-        fs = [f(z) for z in zs]
-        for i in range(n_per_side):
-            total += _phase_sum(f, zs[i], zs[i + 1], fs[i], fs[i + 1])
-    turns = total / (2 * math.pi)
-    w = round(turns)
-    if abs(turns - w) > 0.05:
-        raise ContourError(f"non-integer winding {turns:.4f} over {region}")
+    """Argument-principle count of zeros of analytic f inside the rectangle.
+
+    f takes a 1-d array of k.  Raises ContourError where phase tracking
+    fails, for example on a zero of f on the boundary.
+    """
+    (w,) = _windings(f, [region], n_per_side)
+    if isinstance(w, ContourError):
+        raise w
     return w
 
 
@@ -186,27 +243,29 @@ def find_resonances(
     re_min = max(region.re_min, 1e-9)
     outer = Region(re_min, region.re_max, region.im_min, region.im_max)
 
-    def f(k: complex) -> complex:
+    def f(k):
         return jost(pot, scale, k).j_plus
 
     outer, total = _winding_jittered(f, outer)
     roots: list[complex] = []
-    stack: list[tuple[Region, int]] = [(outer, total)]
-    while stack:
-        rect, w = stack.pop()
-        if w == 0:
-            continue
-        if w == 1:
-            root = _newton(f, rect.center, leash=4 * rect.size)
-            if root is not None and rect.contains(root):
-                roots.append(root)
+    level: list[tuple[Region, int]] = [(outer, total)]
+    while level:
+        split = []
+        for rect, w in level:
+            if w == 0:
                 continue
-        if rect.size < 1e-9 * (1 + abs(rect.center)):
-            # unresolved cluster (double pole?); report the center once
-            warnings.warn(f"unresolved zero cluster of order {w} near {rect.center}")
-            roots.append(rect.center)
-            continue
-        stack.extend(_split_cell(f, rect, w))
+            if w == 1:
+                root = _newton(f, rect.center, leash=4 * rect.size)
+                if root is not None and rect.contains(root):
+                    roots.append(root)
+                    continue
+            if rect.size < 1e-9 * (1 + abs(rect.center)):
+                # unresolved cluster (double pole?); report the center once
+                warnings.warn(f"unresolved zero cluster of order {w} near {rect.center}")
+                roots.append(rect.center)
+                continue
+            split.append((rect, w))
+        level = _split_level(f, split)
 
     # dedupe (jittered subcells may overlap) and keep roots inside the request
     unique: list[complex] = []
@@ -226,24 +285,42 @@ def find_resonances(
     return [_build_state(pot, scale, k, DECAYING) for k in unique]
 
 
-def _split_cell(f, rect: Region, w: int) -> list[tuple[Region, int]]:
-    """Quarter a cell, moving the split lines off any zero they happen to hit."""
+def _quarter(rect: Region, frac: float) -> list[Region]:
+    rm = rect.re_min + frac * (rect.re_max - rect.re_min)
+    im = rect.im_min + frac * (rect.im_max - rect.im_min)
+    return [
+        Region(rect.re_min, rm, rect.im_min, im),
+        Region(rm, rect.re_max, rect.im_min, im),
+        Region(rect.re_min, rm, im, rect.im_max),
+        Region(rm, rect.re_max, im, rect.im_max),
+    ]
+
+
+def _split_level(f, cells: list[tuple[Region, int]]) -> list[tuple[Region, int]]:
+    """Quarter every cell of a quadtree level, with the winding of each quad.
+
+    The quads of all cells go through one contour pass.  A cell whose quads
+    fail or do not add up to its own winding (a split line hit a zero) is
+    quartered again at the next fraction, together with the other such cells.
+    """
+    quads: list[tuple[Region, int]] = []
     for frac in (0.5, 0.46, 0.54, 0.43, 0.57, 0.51):
-        rm = rect.re_min + frac * (rect.re_max - rect.re_min)
-        im = rect.im_min + frac * (rect.im_max - rect.im_min)
-        quads = [
-            Region(rect.re_min, rm, rect.im_min, im),
-            Region(rm, rect.re_max, rect.im_min, im),
-            Region(rect.re_min, rm, im, rect.im_max),
-            Region(rm, rect.re_max, im, rect.im_max),
-        ]
-        try:
-            pairs = [(q, winding_number(f, q)) for q in quads]
-        except ContourError:
-            continue
-        if sum(wq for _, wq in pairs) == w:
-            return pairs
-    raise MissedRootsError(f"could not partition winding {w} over {rect}")
+        if not cells:
+            return quads
+        split = [_quarter(rect, frac) for rect, _ in cells]
+        ws = _windings(f, [q for qs in split for q in qs])
+        retry = []
+        for j, (cell, qs) in enumerate(zip(cells, split)):
+            wq = ws[4 * j:4 * j + 4]
+            if all(isinstance(x, int) for x in wq) and sum(wq) == cell[1]:
+                quads.extend(zip(qs, wq))
+            else:
+                retry.append(cell)
+        cells = retry
+    if cells:
+        rect, w = cells[0]
+        raise MissedRootsError(f"could not partition winding {w} over {rect}")
+    return quads
 
 
 def _build_state(pot: Potential, scale: PhysicalScale, k_pole: complex, kind: str) -> GamowState:

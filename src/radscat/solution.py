@@ -179,16 +179,13 @@ def exterior_amplitudes_batch(pot: Potential, scale: PhysicalScale, k) -> tuple[
     k = np.asarray(k, dtype=complex)
     if np.any(k == 0):
         raise ValueError("k = 0 is degenerate: sin(kr) vanishes identically")
-    heights = pot.heights + (0.0,)
-    k2 = k * k
-
-    def wavenumber(i):
-        # free layers follow the sign of k, as in local_wavenumber
-        return k if heights[i] == 0.0 else sqrt_branch(k2 - scale.kappa * heights[i])
-
+    heights = np.array(pot.heights + (0.0,))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        q0 = wavenumber(0)
-        *_, last = _walk(pot, wavenumber, q0, np.zeros_like(k), np.where(q0 == 0, 1, q0), np)
+        # every layer's q in one (layers x lanes) call; free layers follow
+        # the sign of k, as in local_wavenumber
+        q = sqrt_branch(k * k - scale.kappa * heights[:, None])
+        q[heights == 0.0] = k
+        *_, last = _walk(pot, q.__getitem__, q[0], np.zeros_like(k), np.where(q[0] == 0, 1, q[0]), np)
         return _exterior(*last, np.exp)
 
 

@@ -115,6 +115,15 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err
 
+    def test_contour_overflow_is_numerical(self, capsys, tmp_path):
+        # Jplus of the shell leaves the float range on the region's bottom
+        # edge, at Im k = -400, and stays finite on its top edge
+        cfg = self.write_cfg(tmp_path, resonances={
+            "region": {"re_min": 0.05, "re_max": 6.0, "im_min": -400.0, "im_max": -1e-6}})
+        code, out, err = run(capsys, "resonances", "--config", cfg)
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in err and out == ""
+
     @pytest.mark.parametrize("command, section, err_part", [
         ("smatrix", {"smatrix": {"k_min": 0.5, "k_max": 6.0, "n_k": -1}}, "n_k"),
         ("smatrix", {"smatrix": {"k_min": 0.5, "k_max": 6.0, "n_k": 0}}, "n_k"),

@@ -1,8 +1,11 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from radscat import (
     DECAYING,
@@ -12,10 +15,14 @@ from radscat import (
     find_resonances,
     gamow_eigenfunction,
     growing_partner,
+    PhysicalScale,
+    Potential,
     jost,
     residue_norm,
     s_matrix,
 )
+from radscat.resonance import ContourError, winding_number
+from radscat.verification import grid_scan_roots
 
 SEARCH = Region(0.05, 6.0, -2.0, -1e-6)
 
@@ -70,8 +77,6 @@ class TestFinder:
             Region(2.0, 1.0, -1.0, -0.1)
 
     def test_winding_matches_state_count(self, states, shell, scale):
-        from radscat.resonance import winding_number
-
         w = winding_number(lambda k: jost(shell, scale, k).j_plus,
                            Region(0.05, 6.0, -2.0, -1e-6), n_per_side=32)
         assert w == len(states)
@@ -101,6 +106,71 @@ class TestFinder:
 
         assert gammas[8.0] > gammas[50.0] > gammas[500.0]
         assert abs(k1.real - math.pi) <= 0.05 * math.pi
+
+
+def assert_same_roots(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g.k_pole - w.k_pole) <= 1e-12 * abs(w.k_pole)
+
+
+class TestContourFailurePaths:
+    """Inputs that reach the finder's recovery paths."""
+
+    def test_pole_on_outer_boundary_jitters(self, states, shell, scale):
+        # the top edge runs through the lowest pole, so phase tracking cannot
+        # settle there; the finder pads the region and finds all three poles
+        k1 = states[0].k_pole
+        region = Region(0.05, 6.0, -2.0, k1.imag)
+        with pytest.raises(ContourError, match="did not settle"):
+            winding_number(lambda k: jost(shell, scale, k).j_plus, region)
+        assert_same_roots(find_resonances(shell, scale, region), states)
+
+    def test_pole_on_split_line_takes_next_fraction(self, states, shell, scale):
+        # the region holds the upper two poles, and its 0.5 vertical split
+        # line runs through the first of them
+        k2 = states[1].k_pole
+        region = Region(k2.real - 1.5, k2.real + 1.5, -2.0, -1e-6)
+        f = lambda k: jost(shell, scale, k).j_plus
+        assert winding_number(f, region) == 2
+        rm = region.re_min + 0.5 * (region.re_max - region.re_min)
+        im = region.im_min + 0.5 * (region.im_max - region.im_min)
+        with pytest.raises(ContourError):
+            winding_number(f, Region(rm, region.re_max, im, region.im_max))
+        assert_same_roots(find_resonances(shell, scale, region), states[1:])
+
+    def test_overflowing_lane_raises(self, shell, scale):
+        # Jplus leaves the float range along the bottom edge, Im k = -400
+        with pytest.raises(OverflowError):
+            find_resonances(shell, scale, Region(0.05, 6.0, -400.0, -1e-6))
+
+
+@st.composite
+def barrier_stacks(draw):
+    """A zero-height core and 1-4 barriers, as in the benchmark's pole pool."""
+    n = draw(st.integers(1, 4))
+    core = draw(st.floats(0.8, 1.5))
+    widths = draw(st.lists(st.floats(0.15, 0.5), min_size=n, max_size=n))
+    heights = draw(st.lists(st.floats(5.0, 40.0), min_size=n, max_size=n))
+    return Potential(tuple(core + np.cumsum([0.0] + widths)), (0.0, *heights))
+
+
+class TestFinderVsGridScan:
+    @settings(max_examples=25, deadline=None)
+    @given(pot=barrier_stacks())
+    def test_roots_agree(self, pot):
+        scale = PhysicalScale(1.0)
+        found = [s.k_pole for s in find_resonances(pot, scale, Region(0.0, 6.0, -1.5, 0.0))]
+        # the scan resolves roots a few of its 0.025-wide cells apart and
+        # away from the sides it cannot see past; Jplus has no zero on the
+        # real axis, so the top edge needs no margin
+        assume(all(abs(a - b) > 0.1 for a, b in itertools.combinations(found, 2)))
+        assume(all(min(k.real, 6.0 - k.real, k.imag + 1.5) > 0.05 for k in found))
+        scanned = grid_scan_roots(lambda k: jost(pot, scale, k).j_plus,
+                                  1e-6, 6.0, -1.5, 0.0, n_re=241, n_im=61, tol=1e-10)
+        assert len(scanned) == len(found)
+        for s, k in zip(scanned, found):
+            assert abs(s - k) <= 1e-8
 
 
 class TestResidue:

@@ -46,7 +46,10 @@ class TestSolveRegular:
         with pytest.raises(ValueError):
             solve_regular(shell, scale, 0.0)
 
-    def test_continuity_at_breakpoints(self, shell, scale, rng):
+    def test_continuity_at_breakpoints(self, shell, scale):
+        # its own generator: the k drawn must not depend on which tests ran
+        # before it on the session rng
+        rng = np.random.default_rng(20240817)
         eps = 1e-9
         for k in list(complex_k_grid(rng, 20)) + [0.5, 3.0, 9.0]:
             sol = solve_regular(shell, scale, k)
