@@ -1,8 +1,12 @@
 """Command-line front end.
 
-One JSON config file describes the potential and the command parameters;
-see docs/SCHEMA.md for the frozen key names.  Tables are CSV with a single
-comment header line recording the config hash, tool version and tolerances.
+``radscat COMMAND --config PATH [--out PATH] [--tolerance NAME=VALUE ...]``,
+with COMMAND one of smatrix, resonances, eigenfunction, criterion, verify and
+transform.  One JSON config file describes the potential and the command
+parameters; see docs/SCHEMA.md for the frozen key names.  Each command's body
+(a CSV table or a key=value record) follows a single comment header line
+recording the config hash, tool version and tolerance overrides; the named
+tolerances and their defaults are ``_TOLERANCES``.
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
 
@@ -10,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import sys
 
@@ -33,6 +36,15 @@ from .verification import smeared_delta_check
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+#: the named tolerances that ``--tolerance NAME=VALUE`` overrides, with defaults
+_TOLERANCES = {
+    "unitarity": 1e-10,
+    "proportionality": 1e-12,
+    "measure_identity": 1e-12,
+    "smeared_delta": 1e-3,
+    "symmetry": SYMMETRY_RTOL,
+}
 
 
 class ConfigError(ValueError):
@@ -101,6 +113,13 @@ def _count(sec: dict, key: str, section: str, default: int, least: int = 1) -> i
     return n
 
 
+def _family(name) -> Family:
+    try:
+        return Family(name)
+    except ValueError as exc:
+        raise ConfigError(f"unknown family '{name}'") from exc
+
+
 def _region(sec: dict, section: str) -> Region:
     """The section's fourth-quadrant search rectangle in the k plane."""
     reg = _need(sec, "region", section)
@@ -115,16 +134,22 @@ def _region(sec: dict, section: str) -> Region:
     return region
 
 
-def _tolerances(pairs: list[str]) -> dict[str, float]:
+def _tolerances(pairs: list[str] | None) -> dict[str, float]:
+    """The ``--tolerance`` overrides: known names, positive finite values."""
     tols = {}
     for item in pairs or []:
         if "=" not in item:
             raise ConfigError(f"--tolerance expects NAME=VALUE, got '{item}'")
         name, value = item.split("=", 1)
+        name = name.strip()
+        if name not in _TOLERANCES:
+            raise ConfigError(f"unknown tolerance '{name}'; known: {', '.join(_TOLERANCES)}")
         try:
-            tols[name.strip()] = float(value)
+            tols[name] = float(value)
         except ValueError as exc:
             raise ConfigError(f"bad tolerance value in '{item}'") from exc
+        if not 0 < tols[name] < np.inf:
+            raise ConfigError(f"tolerance {name} must be positive and finite, got {value}")
     return tols
 
 
@@ -133,17 +158,9 @@ def _header(cfg_hash: str, tols: dict) -> str:
     return f"# radscat v{__version__} config_sha256={cfg_hash} tolerances={tol_str}"
 
 
-def _emit_table(out, header: str, columns: list[str], rows: list[tuple]):
-    out.write(header + "\n")
-    out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n")
-
-
-def _emit_record(out, header: str, record: dict):
-    out.write(header + "\n")
-    for key, value in record.items():
-        out.write(f"{key}={value}\n")
+def _table(columns: list[str], rows: list[tuple]) -> list[str]:
+    return [",".join(columns)] + [
+        ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
 
 
 def cmd_smatrix(cfg, scale, pot, tols):
@@ -151,26 +168,26 @@ def cmd_smatrix(cfg, scale, pot, tols):
     k = np.linspace(_number(sec, "k_min", "smatrix"),
                     _number(sec, "k_max", "smatrix"),
                     _count(sec, "n_k", "smatrix", 200))
-    if k[0] <= 0:
+    if (k <= 0).any():
         raise ConfigError("smatrix k grid must be positive")
     rows = []
     for kv, s in zip(k, s_matrix(pot, scale, k).s):
         rows.append((float(kv), float(kv ** 2 / scale.kappa),
                      float(s.real), float(s.imag), float(abs(s)),
                      float(np.angle(s))))
-    return ["k", "E", "re_s", "im_s", "abs_s", "arg_s"], rows, None
+    return _table(["k", "E", "re_s", "im_s", "abs_s", "arg_s"], rows), None
 
 
 def cmd_resonances(cfg, scale, pot, tols):
     sec = _section(cfg, "resonances")
     states = find_resonances(pot, scale, _region(sec, "resonances"),
-                             max_states=_number(sec, "max_states", "resonances", 50, int))
+                             max_states=_count(sec, "max_states", "resonances", 50))
     rows = []
     for n, st in enumerate(states, start=1):
         rows.append((n, float(st.k_pole.real), float(st.k_pole.imag),
                      float(st.e_res), float(st.gamma),
                      float(st.norm_sq.real), float(st.norm_sq.imag)))
-    return ["n", "re_k", "im_k", "e_n", "gamma_n", "re_n2", "im_n2"], rows, None
+    return _table(["n", "re_k", "im_k", "e_n", "gamma_n", "re_n2", "im_n2"], rows), None
 
 
 def cmd_eigenfunction(cfg, scale, pot, tols):
@@ -188,38 +205,29 @@ def cmd_eigenfunction(cfg, scale, pot, tols):
             raise ConfigError(f"pole_index {idx} out of range 1..{len(states)}")
         psi = gamow_eigenfunction(states[idx - 1], r)
     else:
-        try:
-            kind = Family(fam)
-        except ValueError as exc:
-            raise ConfigError(f"unknown family '{fam}'") from exc
+        kind = _family(fam)
         energy = _number(sec, "energy", "eigenfunction")
         if energy <= 0:
             raise ConfigError("eigenfunction energy must be positive")
         psi = eigenfunction(kind, pot, scale, energy, r)
     rows = [(float(rv), float(p.real), float(p.imag)) for rv, p in zip(r, psi)]
-    return ["r", "re_psi", "im_psi"], rows, None
+    return _table(["r", "re_psi", "im_psi"], rows), None
 
 
 def cmd_criterion(cfg, scale, pot, tols):
     sec = _section(cfg, "criterion")
-    fam = _need(sec, "label", "criterion")
-    try:
-        kind = Family(fam)
-    except ValueError as exc:
-        raise ConfigError(f"unknown criterion label '{fam}'") from exc
+    kind = _family(_need(sec, "label", "criterion"))
     gs = _section(sec, "grid")
-    casts = {"re_min": float, "re_max": float, "im_min": float, "im_max": float,
-             "n_re": int, "n_im": int}
-    grid = GridSpec(**{key: _number(gs, key, "criterion.grid", cast=cast)
-                       for key, cast in casts.items() if key in gs})
+    # each key is cast like its GridSpec default: the counts to int, the rest to float
+    grid = GridSpec(**{key: _number(gs, key, "criterion.grid", default, type(default))
+                       for key, default in vars(GridSpec()).items()})
     try:
         n_points = grid.points().size
     except ValueError as exc:
         raise ConfigError(f"invalid criterion grid: {exc}") from exc
     if n_points == 0:
         raise ConfigError("criterion grid has no points")
-    rtol = tols.get("symmetry", SYMMETRY_RTOL)
-    rep = classify_eigensolution(kind, pot, scale, grid, rtol=rtol)
+    rep = classify_eigensolution(kind, pot, scale, grid, rtol=tols["symmetry"])
     record = {
         "label": rep.function_label,
         "max_deviation": f"{rep.max_deviation:.12g}",
@@ -228,7 +236,7 @@ def cmd_criterion(cfg, scale, pot, tols):
                  f"n={grid.n_re}x{grid.n_im}"),
         "n_nonfinite": rep.n_nonfinite,
     }
-    return None, None, record
+    return [f"{key}={value}" for key, value in record.items()], None
 
 
 def cmd_verify(cfg, scale, pot, tols):
@@ -236,13 +244,11 @@ def cmd_verify(cfg, scale, pot, tols):
     checks = []
 
     # |S| = 1 on the physical line
-    unit_tol = tols.get("unitarity", 1e-10)
     ks = np.linspace(0.05, 10.0, 1000)
     dev = float(np.max(np.abs(np.abs(s_matrix(pot, scale, ks).s) - 1.0)))
-    checks.append(("unitarity", dev, unit_tol))
+    checks.append(("unitarity", dev, tols["unitarity"]))
 
     # in = S * out pointwise
-    prop_tol = tols.get("proportionality", 1e-12)
     es = np.linspace(1.0, 20.0, 20)
     rs = np.linspace(0.0, 3 * pot.outer_radius, 20)
     worst = 0.0
@@ -251,43 +257,40 @@ def cmd_verify(cfg, scale, pot, tols):
         d = np.abs(eigenfunction(Family.IN, pot, scale, e, rs)
                    - s * eigenfunction(Family.OUT, pot, scale, e, rs))
         worst = max(worst, float(d.max()))
-    checks.append(("proportionality", worst, prop_tol))
+    checks.append(("proportionality", worst, tols["proportionality"]))
 
     # rho |Jplus|^2 == rho+, i.e. 4 rho |J4|^2 == rho+
-    meas_tol = tols.get("measure_identity", 1e-12)
     worst = 0.0
     for k in np.linspace(0.1, 10.0, 200):
         rho = measure(Family.STANDING_WAVE, pot, scale, k)
         rho_p = measure(Family.IN, pot, scale, k)
         j_plus = jost(pot, scale, k).j_plus
         worst = max(worst, abs(rho * abs(j_plus) ** 2 - rho_p) / rho_p)
-    checks.append(("measure_identity", worst, meas_tol))
+    checks.append(("measure_identity", worst, tols["measure_identity"]))
 
     # smeared delta-normalization per family
-    delta_tol = tols.get("smeared_delta", 1e-3)
     center = _number(sec, "g_center", "verify", 16.0)
     width = _number(sec, "g_width", "verify", 2.0)
     r_max = _number(sec, "r_max", "verify") if sec.get("r_max") else None
     failed_convergence = False
     for fam in Family:
-        rep = smeared_delta_check(fam, pot, scale, center, width,
-                                  r_max=r_max)
-        checks.append((f"smeared_delta_{fam.value}", rep.relative_error, delta_tol))
+        try:
+            rep = smeared_delta_check(fam, pot, scale, center, width, r_max=r_max)
+        except ValueError as exc:
+            # the check's own range tests of g_center, g_width and r_max
+            raise ConfigError(f"invalid config section 'verify': {exc}") from exc
+        checks.append((f"smeared_delta_{fam.value}", rep.relative_error, tols["smeared_delta"]))
         failed_convergence |= not rep.converged
 
     rows = [(name, float(err), float(tol), "pass" if err <= tol else "FAIL")
             for name, err, tol in checks]
     ok = all(r[3] == "pass" for r in rows) and not failed_convergence
-    return ["check", "error", "tolerance", "status"], rows, None if ok else "verify failed"
+    return _table(["check", "error", "tolerance", "status"], rows), None if ok else "verify failed"
 
 
 def cmd_transform(cfg, scale, pot, tols):
     sec = _section(cfg, "transform")
-    fam = _need(sec, "family", "transform")
-    try:
-        kind = Family(fam)
-    except ValueError as exc:
-        raise ConfigError(f"unknown family '{fam}'") from exc
+    kind = _family(_need(sec, "family", "transform"))
     psi_spec = _need(sec, "psi", "transform")
     r_max = _number(sec, "r_max", "transform", 10 * pot.outer_radius)
     # Simpson's rule needs at least three samples
@@ -298,6 +301,8 @@ def cmd_transform(cfg, scale, pot, tols):
         k0 = float(psi_spec["k0"]) if "k0" in psi_spec else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"psi spec needs numeric 'center' and 'width': {exc}") from exc
+    if not width > 0:
+        raise ConfigError(f"transform psi width must be positive, got {width}")
     psi = np.exp(-((r - center) ** 2) / (2 * width ** 2))
     if k0 is not None:
         psi = psi * np.exp(1j * k0 * r)
@@ -311,9 +316,10 @@ def cmd_transform(cfg, scale, pot, tols):
     e_grid = np.linspace(e_min, e_max, n_e)
     coeffs = energy_transform(kind, pot, scale, psi, r_max, e_grid)
     rows = [(float(e), float(c.real), float(c.imag)) for e, c in zip(e_grid, coeffs)]
-    return ["E", "re_coeff", "im_coeff"], rows, None
+    return _table(["E", "re_coeff", "im_coeff"], rows), None
 
 
+#: each command returns its body lines and a failure message or None
 _COMMANDS = {
     "smatrix": cmd_smatrix,
     "resonances": cmd_resonances,
@@ -323,29 +329,25 @@ _COMMANDS = {
     "transform": cmd_transform,
 }
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="radscat",
-        description="Scattering observables for piecewise-constant radial potentials",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config file (docs/SCHEMA.md)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--tolerance", action="append", default=[],
-                       metavar="NAME=VALUE", help="override a named tolerance")
-    return parser
+_PARSER = argparse.ArgumentParser(
+    prog="radscat",
+    description="Scattering observables for piecewise-constant radial potentials",
+)
+_PARSER.add_argument("command", choices=_COMMANDS,
+                     help="what to compute; it reads the config section of the same name")
+_PARSER.add_argument("--config", required=True, help="JSON config file (docs/SCHEMA.md)")
+_PARSER.add_argument("--out", help="output path (default stdout)")
+_PARSER.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
+                     help=f"override a named tolerance ({', '.join(_TOLERANCES)})")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg, cfg_hash = _load_config(args.config)
-        tols = _tolerances(args.tolerance)
+        overrides = _tolerances(args.tolerance)
         pot, scale = _potential(cfg)
-        columns, rows, extra = _COMMANDS[args.command](cfg, scale, pot, tols)
+        body, failure = _COMMANDS[args.command](cfg, scale, pot, {**_TOLERANCES, **overrides})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -354,20 +356,14 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    buf = io.StringIO()
-    header = _header(cfg_hash, tols)
-    if columns is None:
-        _emit_record(buf, header, extra)
-        extra = None
-    else:
-        _emit_table(buf, header, columns, rows)
+    text = "".join(line + "\n" for line in [_header(cfg_hash, overrides), *body])
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(buf.getvalue())
+            fh.write(text)
     else:
-        sys.stdout.write(buf.getvalue())
-    if isinstance(extra, str):
-        print(extra, file=sys.stderr)
+        sys.stdout.write(text)
+    if failure:
+        print(failure, file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

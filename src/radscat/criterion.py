@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .potential import PhysicalScale, Potential
-from .spectral import Family, family_factor, jost, scattering_density, standing_density
+from .spectral import Family, family_factor, jost
 
 #: classification threshold, scaled by (1 + max|f|) on the grid
 SYMMETRY_RTOL = 1e-10
@@ -108,23 +108,6 @@ def check_symmetry(
         max_abs=max_abs,
         n_nonfinite=n_bad,
     )
-
-
-def standing_measure_continued(pot: Potential, scale: PhysicalScale, energy):
-    """rho(E) continued off the real axis: ``spectral.standing_density`` at k(E).
-
-    Elementwise, in one batched solve, for an array of energies.
-
-    |J4|^2 is not analytic; the continuation J4(k) * conj(J4(conj(k))) agrees
-    with it on the real line, keeps rho conjugation-symmetric and costs one
-    solve.
-    """
-    return standing_density(scale, jost(pot, scale, scale.wavenumber(energy)))
-
-
-def scattering_measure_continued(scale: PhysicalScale, energy):
-    """rho+(E) = rho-(E) continued off the real axis."""
-    return scattering_density(scale, scale.wavenumber(energy))
 
 
 def eigensolution_factor(

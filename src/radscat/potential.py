@@ -108,13 +108,6 @@ class Potential:
             return 0.0
         return self.heights[layer]
 
-    def layer_bounds(self, layer: int) -> tuple[float, float]:
-        if not 0 <= layer < self.n_layers:
-            raise IndexError(f"layer {layer} out of range [0, {self.n_layers})")
-        lo = 0.0 if layer == 0 else self.breakpoints[layer - 1]
-        hi = math.inf if layer == len(self.heights) else self.breakpoints[layer]
-        return lo, hi
-
     def layer_of(self, r: float) -> int:
         """Index of the layer containing radius r (breakpoints go to the right layer)."""
         if r < 0:

@@ -267,18 +267,16 @@ def find_resonances(
             split.append((rect, w))
         level = _split_level(f, split)
 
-    # dedupe (jittered subcells may overlap) and keep roots inside the request
+    # dedupe: quads share their edges, so two of them can accept the same root
     unique: list[complex] = []
     for r in sorted(roots, key=lambda z: (z.real, z.imag)):
         if all(abs(r - u) > 1e-8 * (1 + abs(r)) for u in unique):
             unique.append(r)
-    unique = [r for r in unique if outer.contains(r)]
     if len(unique) != total:
         raise MissedRootsError(
             f"argument principle counts {total} zeros in {outer} but "
             f"{len(unique)} were refined: {unique}"
         )
-    unique.sort(key=lambda z: z.real)
     if len(unique) > max_states:
         warnings.warn(f"truncating {len(unique)} resonances to max_states={max_states}")
         unique = unique[:max_states]

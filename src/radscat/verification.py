@@ -23,7 +23,7 @@ from .spectral import Family, eigenfunction
 # ---------------------------------------------------------------------------
 # initial-value oracle for the regular solution
 
-def rk_oracle(pot, scale, k, r_samples, step: float | None = None, validate: bool = False):
+def rk_oracle(pot, scale, k, r_samples, step: float | None = None):
     """chi at the given radii by classic RK4 on (chi, chi').
 
     Initial data chi(0)=0, chi'(0)=q0 reproduce the sin(q0 r) normalization
@@ -32,7 +32,7 @@ def rk_oracle(pot, scale, k, r_samples, step: float | None = None, validate: boo
     every step.
     """
     k = complex(k)
-    h_target = step if step is not None else 1e-3 / max(1.0, abs(k))
+    h_want = step if step is not None else 1e-3 / max(1.0, abs(k))
     rs = np.atleast_1d(np.asarray(r_samples, dtype=float))
     if np.any(rs < 0):
         raise ValueError("radius must be nonnegative")
@@ -42,36 +42,27 @@ def rk_oracle(pot, scale, k, r_samples, step: float | None = None, validate: boo
     q0 = local_wavenumber(pot, scale, k, 0)
     kappa = scale.kappa
 
-    def run(h_want):
-        # nodes: 0, all breakpoints below max radius, and the sample radii
-        stops = sorted(set([0.0] + list(sorted_rs) +
-                           [b for b in pot.breakpoints if b < sorted_rs[-1]]))
-        chi, dchi = 0j, complex(q0) if q0 != 0 else 1 + 0j
-        values = {0.0: chi}
-        for r0, r1 in zip(stops, stops[1:]):
-            seg = r1 - r0
-            n = max(1, int(math.ceil(seg / h_want)))
-            h = seg / n
-            layer = pot.layer_of((r0 + r1) / 2)
-            c = kappa * pot.height(layer) - k * k  # chi'' = c * chi
+    # nodes: 0, all breakpoints below max radius, and the sample radii
+    stops = sorted(set([0.0] + list(sorted_rs) +
+                       [b for b in pot.breakpoints if b < sorted_rs[-1]]))
+    chi, dchi = 0j, complex(q0) if q0 != 0 else 1 + 0j
+    values = {0.0: chi}
+    for r0, r1 in zip(stops, stops[1:]):
+        seg = r1 - r0
+        n = max(1, int(math.ceil(seg / h_want)))
+        h = seg / n
+        layer = pot.layer_of((r0 + r1) / 2)
+        c = kappa * pot.height(layer) - k * k  # chi'' = c * chi
 
-            for _ in range(n):
-                k1v, k1d = dchi, c * chi
-                k2v, k2d = dchi + h / 2 * k1d, c * (chi + h / 2 * k1v)
-                k3v, k3d = dchi + h / 2 * k2d, c * (chi + h / 2 * k2v)
-                k4v, k4d = dchi + h * k3d, c * (chi + h * k3v)
-                chi = chi + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-                dchi = dchi + h / 6 * (k1d + 2 * k2d + 2 * k3d + k4d)
-            values[r1] = chi
-        return np.array([values[r] for r in sorted_rs])
-
-    result = run(h_target)
-    if validate:
-        finer = run(h_target / 2)
-        ref = np.max(np.abs(result)) + 1e-300
-        if np.max(np.abs(result - finer)) > 1e-6 * ref:
-            warnings.warn("rk_oracle step too large: halving changed results "
-                          "beyond 1e-6 relative", RuntimeWarning)
+        for _ in range(n):
+            k1v, k1d = dchi, c * chi
+            k2v, k2d = dchi + h / 2 * k1d, c * (chi + h / 2 * k1v)
+            k3v, k3d = dchi + h / 2 * k2d, c * (chi + h / 2 * k2v)
+            k4v, k4d = dchi + h * k3d, c * (chi + h * k3v)
+            chi = chi + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+            dchi = dchi + h / 6 * (k1d + 2 * k2d + 2 * k3d + k4d)
+        values[r1] = chi
+    result = np.array([values[r] for r in sorted_rs])
     out = np.empty_like(result)
     out[order] = result
     return out if np.asarray(r_samples).ndim else out[0]

@@ -34,9 +34,8 @@ from radscat.criterion import (
     GridSpec,
     NORMALIZATION,
     PHYSICALLY_DISTINCT,
-    scattering_measure_continued,
-    standing_measure_continued,
 )
+from radscat.spectral import scattering_density, standing_density
 
 
 def report(num, name, ok, detail=""):
@@ -86,8 +85,9 @@ def test_03_proportionality(shell, scale):
 
 
 def test_04_criterion_classifications(shell, scale):
-    rho = check_symmetry(lambda e: standing_measure_continued(shell, scale, e))
-    rho_pm = check_symmetry(lambda e: scattering_measure_continued(scale, e))
+    rho = check_symmetry(
+        lambda e: standing_density(scale, jost(shell, scale, scale.wavenumber(e))))
+    rho_pm = check_symmetry(lambda e: scattering_density(scale, scale.wavenumber(e)))
 
     def jplus(e):
         return jost(shell, scale, scale.wavenumber(e)).j_plus

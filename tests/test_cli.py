@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radscat
 from radscat import Region, find_resonances, gamow_eigenfunction
-from radscat.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from radscat.cli import _COMMANDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 SHELL_CFG = {
     "kappa": 1.0,
@@ -139,6 +144,17 @@ class TestExitCodes:
         ("eigenfunction", {"eigenfunction": dict(SHELL_CFG["eigenfunction"], n_r=-1)}, "n_r"),
         ("eigenfunction", {"eigenfunction": dict(SHELL_CFG["eigenfunction"], r_min=-1.0)},
          "r_min"),
+        ("resonances", {"resonances": dict(SHELL_CFG["resonances"], max_states=-1)},
+         "max_states"),
+        ("resonances", {"resonances": dict(SHELL_CFG["resonances"], max_states=0)},
+         "max_states"),
+        # k = 0 in the middle of the grid
+        ("smatrix", {"smatrix": {"k_min": 1.0, "k_max": -1.0, "n_k": 3}}, "k grid"),
+        # the shell's outer radius is 2, and the smear needs r_max >= 20
+        ("verify", {"verify": {"r_max": 5.0}}, "r_max"),
+        ("verify", {"verify": {"g_center": 2.0, "g_width": 2.0}}, "supported inside"),
+        ("transform", {"transform": dict(SHELL_CFG["transform"],
+                                         psi={"center": 5.0, "width": 0.0})}, "width"),
     ])
     def test_out_of_range_value(self, capsys, tmp_path, command, section, err_part):
         cfg = self.write_cfg(tmp_path, **section)
@@ -157,9 +173,12 @@ class TestExitCodes:
             assert "numerical failure" in err and out == ""
 
     def test_bad_tolerance(self, capsys, shell_cfg):
-        code, _, _ = run(capsys, "smatrix", "--config", shell_cfg,
-                         "--tolerance", "oops")
-        assert code == EXIT_CONFIG
+        for item in ("oops", "symetry=1e-3", "symmetry=nan", "symmetry=inf",
+                     "symmetry=0", "symmetry=-1"):
+            code, out, err = run(capsys, "smatrix", "--config", shell_cfg,
+                                 "--tolerance", item)
+            assert code == EXIT_CONFIG, item
+            assert "config error" in err and out == ""
 
     def test_verify_ok(self, capsys, shell_cfg):
         code, out, _ = run(capsys, "verify", "--config", shell_cfg)
@@ -299,6 +318,31 @@ class TestOutputContract:
         assert main(["smatrix", "--config", shell_cfg, "--out", str(o1)]) == EXIT_OK
         assert main(["smatrix", "--config", shell_cfg, "--out", str(o2)]) == EXIT_OK
         assert o1.read_bytes() == o2.read_bytes()
+
+    def test_parser_keeps_no_state(self, capsys, shell_cfg):
+        _, first, _ = run(capsys, "smatrix", "--config", shell_cfg,
+                          "--tolerance", "symmetry=1e-3")
+        _, second, _ = run(capsys, "smatrix", "--config", shell_cfg)
+        assert "tolerances=symmetry=0.001" in first.split("\n")[0]
+        assert second.split("\n")[0].endswith("tolerances=default")
+
+    def test_help_lists_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert "{" + ",".join(_COMMANDS) + "}" in capsys.readouterr().out
+
+    def test_module_entry_point_matches_main(self, tmp_path, shell_cfg):
+        dest = tmp_path / "in_process.csv"
+        assert main(["smatrix", "--config", shell_cfg, "--out", str(dest)]) == EXIT_OK
+        src = str(Path(radscat.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "radscat.cli", "smatrix",
+                               "--config", shell_cfg], capture_output=True, env=env,
+                              timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == dest.read_bytes()
 
     def test_out_file_written(self, tmp_path, shell_cfg):
         dest = tmp_path / "res.csv"

@@ -17,10 +17,7 @@ from radscat import (
     make_shell,
     solve_regular,
 )
-from radscat.criterion import (
-    scattering_measure_continued,
-    standing_measure_continued,
-)
+from radscat.spectral import scattering_density, standing_density
 
 
 def jplus_of_e(pot, scale):
@@ -35,6 +32,10 @@ def jminus_of_e(pot, scale):
     return f
 
 
+def standing_of_e(pot, scale, e):
+    return standing_density(scale, jost(pot, scale, scale.wavenumber(e)))
+
+
 class TestCheckSymmetry:
     def test_constant_has_zero_deviation(self):
         rep = check_symmetry(lambda e: 7.0, label="const")
@@ -42,13 +43,13 @@ class TestCheckSymmetry:
         assert rep.classification == NORMALIZATION
 
     def test_standing_measure_is_symmetric(self, shell, scale):
-        rep = check_symmetry(lambda e: standing_measure_continued(shell, scale, e),
+        rep = check_symmetry(lambda e: standing_of_e(shell, scale, e),
                              label="rho")
         assert rep.classification == NORMALIZATION
         assert rep.max_deviation <= 1e-10 * (1 + rep.max_abs)
 
     def test_scattering_measure_is_symmetric(self, scale):
-        rep = check_symmetry(lambda e: scattering_measure_continued(scale, e),
+        rep = check_symmetry(lambda e: scattering_density(scale, scale.wavenumber(e)),
                              label="rho_pm")
         assert rep.classification == NORMALIZATION
 
@@ -121,7 +122,7 @@ class TestStandingMeasureContinued:
                         n_re=15, n_im=11).points()
         for pot in (shell, inner):
             for e in grid:
-                got = standing_measure_continued(pot, scale, e)
+                got = standing_of_e(pot, scale, e)
                 want = two_solve_standing_measure(pot, scale, e)
                 assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -129,6 +130,6 @@ class TestStandingMeasureContinued:
         st = find_resonances(shell, scale, Region(2.0, 2.5, -0.1, -1e-6))[0]
         for z in (st.z_pole, st.z_pole.conjugate()):
             for d in (1e-4, 1e-6j, -1e-8 + 1e-8j):
-                got = standing_measure_continued(shell, scale, z + d)
+                got = standing_of_e(shell, scale, z + d)
                 want = two_solve_standing_measure(shell, scale, z + d)
                 assert abs(got - want) <= 1e-12 * abs(want)

@@ -34,9 +34,6 @@ class TestPotential:
     def test_roundtrip_identity(self):
         pot = Potential(breakpoints=(0.5, 1.25, 4.0), heights=(-2.0, 3.0, 1.5))
         assert pot.heights == (-2.0, 3.0, 1.5)
-        assert pot.layer_bounds(0) == (0.0, 0.5)
-        assert pot.layer_bounds(2) == (1.25, 4.0)
-        assert pot.layer_bounds(3) == (4.0, math.inf)
         assert pot.height(3) == 0.0
 
     def test_layer_of(self):

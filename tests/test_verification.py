@@ -40,10 +40,6 @@ class TestRkOracle:
         assert np.max(np.abs(rk_oracle(shell, scale, k, rs)
                              - evaluate_chi(sol, rs))) < 1e-8
 
-    def test_validate_warns_on_coarse_step(self, shell, scale):
-        with pytest.warns(RuntimeWarning, match="step too large"):
-            rk_oracle(shell, scale, 3.0, [2.5], step=0.5, validate=True)
-
     def test_scalar_input_gives_scalar(self, shell, scale):
         out = rk_oracle(shell, scale, 3.0, 1.0)
         assert np.ndim(out) == 0
