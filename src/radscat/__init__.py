@@ -5,10 +5,9 @@ families and Gamow resonance states, with verification tooling for the
 distributional identities they satisfy.
 """
 
-from .potential import PhysicalScale, Potential, local_wavenumber, make_shell, sqrt_branch
+from .potential import PhysicalScale, Potential, make_shell, sqrt_branch
 from .solution import (
     LayerSolution,
-    LayerWave,
     evaluate_chi,
     evaluate_chi_derivative,
     solve_regular,

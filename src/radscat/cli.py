@@ -94,8 +94,12 @@ def _need(sec: dict, key: str, section: str):
 
 
 def _number(sec: dict, key: str, section: str, default=None, cast=float):
-    """sec[key] converted by ``cast``; the key is required when no default is given."""
+    """sec[key] converted by ``cast``; the key is required when no default is
+    given.  An integer key takes 3.0 as 3 but rejects 2.9 and inf."""
     value = _need(sec, key, section) if default is None else sec.get(key, default)
+    if cast is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(
+            f"key '{key}' in config section '{section}' must be an integer, got {value!r}")
     try:
         return cast(value)
     except (TypeError, ValueError) as exc:
@@ -199,8 +203,8 @@ def cmd_eigenfunction(cfg, scale, pot, tols):
     r = np.linspace(r_min, _number(sec, "r_max", "eigenfunction"),
                     _count(sec, "n_r", "eigenfunction", 200))
     if fam == "gamow":
-        states = find_resonances(pot, scale, _region(sec, "eigenfunction"))
         idx = _number(sec, "pole_index", "eigenfunction", cast=int)
+        states = find_resonances(pot, scale, _region(sec, "eigenfunction"))
         if not 1 <= idx <= len(states):
             raise ConfigError(f"pole_index {idx} out of range 1..{len(states)}")
         psi = gamow_eigenfunction(states[idx - 1], r)
@@ -271,7 +275,7 @@ def cmd_verify(cfg, scale, pot, tols):
     # smeared delta-normalization per family
     center = _number(sec, "g_center", "verify", 16.0)
     width = _number(sec, "g_width", "verify", 2.0)
-    r_max = _number(sec, "r_max", "verify") if sec.get("r_max") else None
+    r_max = _number(sec, "r_max", "verify") if "r_max" in sec else None
     failed_convergence = False
     for fam in Family:
         try:

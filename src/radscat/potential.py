@@ -126,14 +126,3 @@ def make_shell(v0: float, a: float, b: float, scale: PhysicalScale | None = None
                          f"got a={a}, b={b}")
     return Potential(breakpoints=(a, b), heights=(0.0, v0))
 
-
-def local_wavenumber(pot: Potential, scale: PhysicalScale, k: complex, layer: int) -> complex:
-    """Layer wavenumber q = sqrt(k^2 - kappa*V) on the sqrt_branch sheet.
-
-    Free layers return k itself, not sqrt_branch(k^2): the exterior exponent
-    convention must follow the sign of k even in the lower half plane.
-    """
-    v = pot.height(layer)
-    if v == 0.0:
-        return complex(k)
-    return _sqrt_branch_scalar(complex(k) ** 2 - scale.kappa * v)

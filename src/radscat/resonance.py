@@ -329,9 +329,9 @@ def _build_state(pot: Potential, scale: PhysicalScale, k_pole: complex, kind: st
     # scale the check by it rather than by |J3| alone; chi'/k puts the slope
     # in the units of an amplitude
     local = max(abs(j3), 1e-30)
-    for w in sol.layers:
-        s = math.exp(min(w.log_scale, 700.0))
-        local = max(local, abs(w.chi) * s, abs(w.dchi / k_pole) * s)
+    for chi, dchi, ls in zip(sol.chi, sol.dchi, sol.log_scale):
+        s = math.exp(min(ls, 700.0))
+        local = max(local, abs(chi) * s, abs(dchi / k_pole) * s)
     if abs(j4) > POLE_RESIDUAL_RTOL * local:
         raise ValueError(f"k={k_pole} is not a zero of Jplus: |J4|={abs(j4):.3e}")
     norm_sq = residue_norm(pot, scale, k_pole)

@@ -16,10 +16,11 @@ fit further out would lose the subdominant term to the rounding of the
 dominant one, eps e^{2 |Im k| r}.  So cutting a layer into equal-height
 pieces leaves J+- unchanged bit for bit.
 
-Two drivers walk the runs (``_walk``): ``solve_regular`` (one complex k,
-``math``) keeps ``LayerWave`` records for ``evaluate_chi`` and the Gamow
-states; ``exterior_amplitudes_batch`` (a 1-d array of k, numpy) keeps the
-last start per lane, for ``spectral.jost`` with an array k.
+One function, ``solve_regular``, walks the runs (``_walk``) for one complex k
+(``math`` and Python complex) or a 1-d array of k (numpy, one lane per k),
+with every layer's wavenumber from one rule (``_wavenumbers``).  It keeps
+per-layer columns (q, r_left, chi, chi', log scale): ``evaluate_chi`` and
+the Gamow states read them all, ``spectral.jost`` the exterior's.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potential import PhysicalScale, Potential, local_wavenumber, sqrt_branch
+from .potential import PhysicalScale, Potential, _sqrt_branch_scalar, sqrt_branch
 
 
 def _transfer(q, dr, xp=math):
@@ -102,94 +103,89 @@ def _exterior(k, r_left, chi, dchi, log_scale, exp):
     return s * t_out, s * t_in
 
 
-def _walk(pot: Potential, wavenumber, q, chi, dchi, xp):
+def _wavenumbers(pot: Potential, scale: PhysicalScale, k):
+    """Every layer's q = sqrt(k^2 - kappa V) on the sqrt_branch sheet, the
+    exterior last: a list for one complex k, one (layers x lanes) array for a
+    1-d array of k.  Free layers take k itself, not sqrt_branch(k^2): the
+    exterior exponent convention must follow the sign of k even in the lower
+    half plane."""
+    heights = pot.heights + (0.0,)
+    if isinstance(k, np.ndarray):
+        q = sqrt_branch(k ** 2 - scale.kappa * np.array(heights)[:, None])
+    else:
+        q = [_sqrt_branch_scalar(k ** 2 - scale.kappa * v) for v in heights]
+    for i, v in enumerate(heights):
+        if v == 0.0:
+            q[i] = k
+    return q
+
+
+def _walk(pot: Potential, q, chi, dchi, xp):
     """(q, r_left, chi, chi', log_scale) of every layer, the exterior last,
     with the log-scaled pair at r_left, the start of the layer's run.
 
-    ``wavenumber(i)`` is the q of layer i; (q, chi, dchi) start the innermost
-    layer at r = 0.
+    ``q`` holds every layer's wavenumber (``_wavenumbers``); (chi, dchi)
+    start the innermost layer at r = 0.
     """
     heights = pot.heights + (0.0,)
     r_left, ls = 0.0, 0.0
     for i, r in enumerate((0.0,) + pot.breakpoints):
         if i and heights[i] != heights[i - 1]:
-            chi, dchi, m = _carry(q, chi, dchi, r - r_left, xp)
-            q, r_left, ls = wavenumber(i), r, ls + m
-        yield q, r_left, chi, dchi, ls
-
-
-@dataclass(frozen=True)
-class LayerWave:
-    """One layer's (chi, chi') at ``r_left``, the left edge of the layer's run
-    of equal heights, in log-scaled form: the actual values are
-    exp(log_scale) larger."""
-
-    q: complex
-    r_left: float
-    chi: complex
-    dchi: complex
-    log_scale: float = 0.0
-
-    def values_at(self, dr: float) -> tuple[complex, complex, float]:
-        """(chi, chi', log_scale) at distance dr from ``r_left``; the actual
-        values are exp(log_scale) larger."""
-        chi, dchi, m = _carry(self.q, self.chi, self.dchi, float(dr))
-        return chi, dchi, self.log_scale + m
+            chi, dchi, m = _carry(q[i - 1], chi, dchi, r - r_left, xp)
+            r_left, ls = r, ls + m
+        yield q[i], r_left, chi, dchi, ls
 
 
 @dataclass(frozen=True)
 class LayerSolution:
-    """chi(r; k) as per-layer (chi, chi') records; the exterior is last."""
+    """chi(r; k) as per-layer columns, the exterior last: layer i's ``q`` and,
+    at ``r_left``, the start of its run of equal heights, (``chi``, ``dchi``)
+    divided by e^``log_scale``.  For an array k each entry is an array of lanes."""
 
     k: complex
     pot: Potential
     scale: PhysicalScale
-    layers: tuple[LayerWave, ...]
+    q: tuple
+    r_left: tuple
+    chi: tuple
+    dchi: tuple
+    log_scale: tuple
 
     @property
-    def exterior_amplitudes(self) -> tuple[complex, complex]:
+    def exterior_amplitudes(self):
         """(c_out, c_in) of the exterior, chi = c_out e^{ikr} + c_in e^{-ikr}:
-        the shell's (J3, J4)."""
-        w = self.layers[-1]
-        return _exterior(w.q, w.r_left, w.chi, w.dchi, w.log_scale, cmath.exp)
+        the shell's (J3, J4).  A lane of an array k whose amplitudes leave
+        the float range comes out non-finite."""
+        last = (self.q[-1], self.r_left[-1], self.chi[-1], self.dchi[-1], self.log_scale[-1])
+        if isinstance(self.k, np.ndarray):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return _exterior(*last, np.exp)
+        return _exterior(*last, cmath.exp)
 
 
-def solve_regular(pot: Potential, scale: PhysicalScale, k: complex) -> LayerSolution:
-    """Propagate the regular solution chi(0)=0 across all breakpoints.
+def solve_regular(pot: Potential, scale: PhysicalScale, k) -> LayerSolution:
+    """Propagate the regular solution chi(0)=0 across all breakpoints, for
+    one complex k (``math``) or a 1-d array of k (numpy, one lane per k).
 
-    Raises ValueError for k = 0 (the regular solution degenerates to zero
-    under the sin(kr) normalization).
+    Raises ValueError for k = 0, at any lane (the regular solution
+    degenerates to zero under the sin(kr) normalization).
     """
-    k = complex(k)
-    if k == 0:
+    lanes = getattr(k, "ndim", 0)
+    k = np.asarray(k, dtype=complex) if lanes else complex(k)
+    if (k == 0).any() if lanes else k == 0:
         raise ValueError("k = 0 is degenerate: sin(kr) vanishes identically")
-    q0 = local_wavenumber(pot, scale, k, 0)
-    walk = _walk(pot, lambda i: local_wavenumber(pot, scale, k, i),
-                 q0, 0j, q0 if q0 else 1 + 0j, math)
-    return LayerSolution(k=k, pot=pot, scale=scale, layers=tuple(LayerWave(*w) for w in walk))
-
-
-def exterior_amplitudes_batch(pot: Potential, scale: PhysicalScale, k) -> tuple[np.ndarray, np.ndarray]:
-    """Exterior (J3, J4) for a 1-d array of k, one lane per k.
-
-    The same propagation as ``solve_regular`` without the per-layer records.
-    A lane whose amplitudes leave the float range comes out non-finite
-    instead of raising.  Raises ValueError if any k is 0.
-    """
-    k = np.asarray(k, dtype=complex)
-    if np.any(k == 0):
-        raise ValueError("k = 0 is degenerate: sin(kr) vanishes identically")
-    heights = np.array(pot.heights + (0.0,))
+    if not lanes:
+        q = _wavenumbers(pot, scale, k)
+        return LayerSolution(k, pot, scale, *zip(*_walk(pot, q, 0j, q[0] if q[0] else 1 + 0j, math)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # every layer's q in one (layers x lanes) call; free layers follow
-        # the sign of k, as in local_wavenumber
-        q = sqrt_branch(k * k - scale.kappa * heights[:, None])
-        q[heights == 0.0] = k
-        *_, last = _walk(pot, q.__getitem__, q[0], np.zeros_like(k), np.where(q[0] == 0, 1, q[0]), np)
-        return _exterior(*last, np.exp)
+        q = _wavenumbers(pot, scale, k)
+        columns = zip(*_walk(pot, q, np.zeros_like(k), np.where(q[0] == 0, 1, q[0]), np))
+    return LayerSolution(k, pot, scale, *columns)
 
 
 def _evaluate(sol: LayerSolution, r, derivative: bool):
+    if isinstance(sol.k, np.ndarray):
+        raise ValueError("chi is evaluated on the solution of one k, not of an array of k")
     rs = np.asarray(r, dtype=float)
     scalar = rs.ndim == 0
     rs = np.atleast_1d(rs)
@@ -197,8 +193,8 @@ def _evaluate(sol: LayerSolution, r, derivative: bool):
         raise ValueError("radius must be nonnegative")
     # every radius takes the record of its layer, so one kernel call covers all
     idx = np.searchsorted(sol.pot.breakpoints, rs, side="right")
-    q, r_left, chi, dchi, ls = (np.array(col)[idx] for col in zip(
-        *((w.q, w.r_left, w.chi, w.dchi, w.log_scale) for w in sol.layers)))
+    q, r_left, chi, dchi, ls = (np.array(col)[idx] for col in (
+        sol.q, sol.r_left, sol.chi, sol.dchi, sol.log_scale))
     c, s, qs, m = _transfer(q, rs - r_left, np)
     out = dchi * c - chi * qs if derivative else chi * c + dchi * s
     out *= np.exp(ls + m)

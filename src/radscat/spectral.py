@@ -32,9 +32,9 @@ differ only by the energy-dependent factor in front of it
     in:             sqrt(rho+(k)) chi(r;k) / Jplus(k)
     out:            sqrt(rho-(k)) chi(r;k) / Jminus(k)
 
-Arrays.  ``jost`` and ``s_matrix`` take either one k or a 1-d array of k; an
-array goes through ``solution.exterior_amplitudes_batch`` in one pass and
-gives array fields.  ``scattering_density``, ``standing_density`` and
+Arrays.  ``jost`` and ``s_matrix`` take either one k or a 1-d array of k;
+``solution.solve_regular`` propagates an array in one pass, and the pair has
+array fields.  ``scattering_density``, ``standing_density`` and
 ``family_factor`` work elementwise on such pairs.
 """
 
@@ -51,7 +51,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .potential import PhysicalScale, Potential, sqrt_branch
-from .solution import LayerSolution, evaluate_chi, exterior_amplitudes_batch, solve_regular
+from .solution import LayerSolution, evaluate_chi, solve_regular
 
 
 class Family(str, enum.Enum):
@@ -101,11 +101,15 @@ def _jost_pair(k, j3, j4) -> JostPair:
 
 
 def _solved_pair(sol: LayerSolution) -> JostPair:
-    """The pair of one scalar solve.
+    """The pair of one solve.
 
-    Raises OverflowError where J+- leave the float range, for example
-    through the factor 2 of a J4 near 1e308.
+    A scalar k raises OverflowError where J+- leave the float range, for
+    example through the factor 2 of a J4 near 1e308; a lane of an array k
+    comes out non-finite there instead.
     """
+    if isinstance(sol.k, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _jost_pair(sol.k, *sol.exterior_amplitudes)
     jp = _jost_pair(sol.k, *sol.exterior_amplitudes)
     if not (cmath.isfinite(jp.j_plus) and cmath.isfinite(jp.j_minus)):
         raise OverflowError(f"Jost functions overflow at k={sol.k}")
@@ -113,15 +117,9 @@ def _solved_pair(sol: LayerSolution) -> JostPair:
 
 
 def jost(pot: Potential, scale: PhysicalScale, k) -> JostPair:
-    """Jost functions at complex k (one solve).
-
-    An array k is propagated in one batched pass; a lane that overflows comes
-    out non-finite, where a scalar k raises OverflowError.
-    """
-    if getattr(k, "ndim", 0):
-        k = np.asarray(k, dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _jost_pair(k, *exterior_amplitudes_batch(pot, scale, k))
+    """Jost functions at complex k, or at a 1-d array of k in one pass (one
+    solve); a lane that overflows comes out non-finite, where a scalar k
+    raises OverflowError."""
     return _solved_pair(solve_regular(pot, scale, k))
 
 

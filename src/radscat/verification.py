@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .potential import PhysicalScale, Potential, local_wavenumber, sqrt_branch
+from .potential import PhysicalScale, Potential
+from .solution import _wavenumbers
 from .spectral import Family, eigenfunction
 
 
@@ -39,7 +40,7 @@ def rk_oracle(pot, scale, k, r_samples, step: float | None = None):
     order = np.argsort(rs)
     sorted_rs = rs[order]
 
-    q0 = local_wavenumber(pot, scale, k, 0)
+    q0 = _wavenumbers(pot, scale, k)[0]
     kappa = scale.kappa
 
     # nodes: 0, all breakpoints below max radius, and the sample radii
@@ -117,13 +118,22 @@ def smeared_delta_check(
     int_0^Rmax dr |int dE g(E) <r|E>|^2  ==  int dE |g(E)|^2 and the check is
     re-run once with doubled r_max and once with doubled grids; the error must
     not grow under refinement or the report is flagged non-convergent.
+
+    The default r_max is max(10 b, b + 4 w): w = 2 sqrt(kappa g_center) /
+    (kappa g_width), the inverse of the test function's width in k, is the
+    smeared packet's width in r.
     """
     kind = Family(kind)
+    if not g_width > 0:
+        raise ValueError(f"test function width must be positive, got {g_width}")
     if g_center - 6 * g_width <= 0:
         raise ValueError("test function must be supported inside (0, inf): "
                          f"center {g_center} - 6*width {g_width} <= 0")
     b = pot.outer_radius
-    r_max = float(r_max) if r_max is not None else 10.0 * b
+    if r_max is None:
+        w = 2 * math.sqrt(scale.kappa * g_center) / (scale.kappa * g_width)
+        r_max = max(10.0 * b, b + 4 * w)
+    r_max = float(r_max)
     if r_max < 10.0 * b:
         raise ValueError(f"r_max must be at least 10*b = {10 * b}")
 

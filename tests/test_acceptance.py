@@ -35,6 +35,7 @@ from radscat.criterion import (
     NORMALIZATION,
     PHYSICALLY_DISTINCT,
 )
+from radscat.solution import _carry
 from radscat.spectral import scattering_density, standing_density
 
 
@@ -146,11 +147,11 @@ def test_07_gamow_state_structure(shell, scale, states):
     # interface mismatch measured from the two layer representations at the
     # breakpoint itself; one-sided offsets would add O(eps * u') on top
     cont_dev = 0.0
+    sol = st.sol
     for i, bp in enumerate(shell.breakpoints):
-        left = st.sol.layers[i]
-        right = st.sol.layers[i + 1]
-        vl, dl, lsl = left.values_at(bp - left.r_left)
-        vr, dr_, lsr = right.values_at(bp - right.r_left)
+        vl, dl, ml = _carry(sol.q[i], sol.chi[i], sol.dchi[i], bp - sol.r_left[i])
+        vr, dr_, mr = _carry(sol.q[i + 1], sol.chi[i + 1], sol.dchi[i + 1], bp - sol.r_left[i + 1])
+        lsl, lsr = sol.log_scale[i] + ml, sol.log_scale[i + 1] + mr
         vl, dl = vl * math.exp(lsl), dl * math.exp(lsl)
         vr, dr_ = vr * math.exp(lsr), dr_ * math.exp(lsr)
         ref = max(abs(vr), abs(dr_), 1e-30)

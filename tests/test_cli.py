@@ -155,6 +155,15 @@ class TestExitCodes:
         ("verify", {"verify": {"g_center": 2.0, "g_width": 2.0}}, "supported inside"),
         ("transform", {"transform": dict(SHELL_CFG["transform"],
                                          psi={"center": 5.0, "width": 0.0})}, "width"),
+        # a zero r_max is a value, not a request for the default
+        ("verify", {"verify": {"r_max": 0}}, "r_max"),
+        ("verify", {"verify": {"g_center": 16.0, "g_width": 0.0}}, "width"),
+        # integer keys reject a fractional part instead of truncating it
+        ("criterion", {"criterion": {"label": "in", "grid": {"n_re": 2.9}}}, "n_re"),
+        ("eigenfunction", {"eigenfunction": {
+            "family": "gamow", "pole_index": 1.7, "r_max": 8.0,
+            "region": SHELL_CFG["resonances"]["region"]}}, "pole_index"),
+        ("smatrix", {"smatrix": {"k_min": 0.5, "k_max": 6.0, "n_k": math.inf}}, "n_k"),
     ])
     def test_out_of_range_value(self, capsys, tmp_path, command, section, err_part):
         cfg = self.write_cfg(tmp_path, **section)
@@ -185,6 +194,22 @@ class TestExitCodes:
         assert code == EXIT_OK
         _, rows = parse_csv(out)
         assert all(r[-1] == "pass" for r in rows)
+
+    def test_verify_default_smear_covers_the_packet(self, capsys, tmp_path):
+        # b = 0.85: r_max = 10 b = 8.5 would cut the smeared packet (width
+        # 2 sqrt(16) / 2 = 4 in r) at about two widths and fail all three
+        # smear rows at 1.5e-3 to 1.8e-3; the default is b + 4 widths = 16.85
+        cfg = self.write_cfg(tmp_path, breakpoints=[0.4, 0.85], heights=[0.0, 6.0])
+        code, out, _ = run(capsys, "verify", "--config", cfg)
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert all(r[-1] == "pass" for r in rows)
+
+    def test_integral_float_count_accepted(self, capsys, tmp_path):
+        cfg = self.write_cfg(tmp_path, smatrix={"k_min": 0.5, "k_max": 6.0, "n_k": 3.0})
+        code, out, _ = run(capsys, "smatrix", "--config", cfg)
+        assert code == EXIT_OK
+        assert len(parse_csv(out)[1]) == 3
 
     def test_verify_failure_with_tight_tolerance(self, capsys, shell_cfg):
         code, out, err = run(capsys, "verify", "--config", shell_cfg,

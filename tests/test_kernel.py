@@ -27,7 +27,7 @@ from radscat import (
     solve_regular,
     sqrt_branch,
 )
-from radscat.solution import _shift, _transfer, exterior_amplitudes_batch
+from radscat.solution import _shift, _transfer
 
 
 def shift_by_definition(q, a_out, a_in, dr):
@@ -217,7 +217,7 @@ class TestBatchedJost:
         re, im = np.meshgrid(np.linspace(-8.0, 8.0, 21), np.linspace(-3.0, 3.0, 13))
         ks = (re + 1j * im).ravel()
         ks = ks[ks != 0]
-        j3, j4 = exterior_amplitudes_batch(pot, scale, ks)
+        j3, j4 = solve_regular(pot, scale, ks).exterior_amplitudes
         for i, k in enumerate(ks):
             w3, w4 = solve_regular(pot, scale, k).exterior_amplitudes
             ref = max(abs(w3), abs(w4))
@@ -264,6 +264,43 @@ class TestBatchedJost:
 def five_point(f, h):
     """df/dr from the rows f(r - 2h), f(r - h), f(r), f(r + h), f(r + 2h)."""
     return (-f[4] + 8 * f[3] - 8 * f[1] + f[0]) / (12 * h)
+
+
+def scalar_and_array(pot, scale, ks):
+    """(J3, J4) at each k from the scalar and from the array solve_regular."""
+    batch = solve_regular(pot, scale, np.array(ks, dtype=complex)).exterior_amplitudes
+    yield from zip(*batch)
+    for k in ks:
+        yield solve_regular(pot, scale, k).exterior_amplitudes
+
+
+#: complex k off both axes, so that k^2 - kappa V0 is off the cut of q0
+OFF_AXES = st.builds(lambda re, im, s_re, s_im: complex(s_re * re, s_im * im),
+                     st.floats(0.1, 8.0), st.floats(0.05, 3.0),
+                     st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+
+
+class TestRandomStackSymmetries:
+    """Identities of (J3, J4) on random stacks, from one k and from an array of k."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pot=potentials(), ks=st.lists(st.floats(0.05, 8.0), min_size=1, max_size=8))
+    def test_unitarity_on_real_k(self, pot, ks):
+        # S = -J3 / J4, and |J3| = |J4| on the real axis, also where q0 is
+        # imaginary under a positive innermost height
+        for j3, j4 in scalar_and_array(pot, PhysicalScale(1.0), ks):
+            assert abs(abs(j3 / j4) - 1.0) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(pot=potentials(), ks=st.lists(OFF_AXES, min_size=1, max_size=8))
+    def test_conjugate_momentum_swaps_in_out(self, pot, ks):
+        # J3(k*) = conj J4(k) and J4(k*) = conj J3(k)
+        scale = PhysicalScale(1.0)
+        mirrored = list(scalar_and_array(pot, scale, [k.conjugate() for k in ks]))
+        for (j3, j4), (j3c, j4c) in zip(scalar_and_array(pot, scale, ks), mirrored):
+            ref = max(abs(j3), abs(j4), 1.0)
+            assert abs(j3c - np.conj(j4)) <= 1e-12 * ref
+            assert abs(j4c - np.conj(j3)) <= 1e-12 * ref
 
 
 class TestRadialAxis:

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from radscat import PhysicalScale, Potential, local_wavenumber, make_shell, sqrt_branch
+from radscat import PhysicalScale, Potential, make_shell, sqrt_branch
+from radscat.solution import _wavenumbers
 
 
 class TestMakeShell:
@@ -89,20 +90,20 @@ class TestSqrtBranch:
 class TestLocalWavenumber:
     def test_free_layer_is_identity(self, free, scale):
         for k in (3.0, 0.5 - 2.1j, -1.7 - 0.3j):
-            assert local_wavenumber(free, scale, k, 1) == k
+            assert _wavenumbers(free, scale, k)[1] == k
 
     def test_shell_at_barrier(self, shell, scale):
-        assert local_wavenumber(shell, scale, 3.0, 1) == pytest.approx(1.0)
+        assert _wavenumbers(shell, scale, 3.0)[1] == pytest.approx(1.0)
 
     def test_index_bounds(self, shell, scale):
         with pytest.raises(IndexError):
-            local_wavenumber(shell, scale, 3.0, 5)
+            _wavenumbers(shell, scale, 3.0)[5]
 
     def test_complex_branch_matches_bookkept_sqrt(self, shell, scale, rng):
         # oracle: plain sqrt with an explicit flip onto Re >= 0
         ks = 3 * (rng.normal(size=100) + 1j * rng.normal(size=100))
         for k in ks:
-            q = local_wavenumber(shell, scale, k, 1)
+            q = _wavenumbers(shell, scale, k)[1]
             w = cmath.sqrt(k * k - 8.0)
             if w.real < 0 or (w.real == 0 and w.imag < 0):
                 w = -w
@@ -112,6 +113,6 @@ class TestLocalWavenumber:
         ks = 5 * (rng.normal(size=100) + 1j * rng.normal(size=100))
         for k in ks:
             for layer in range(shell.n_layers):
-                q = local_wavenumber(shell, scale, k, layer)
+                q = _wavenumbers(shell, scale, k)[layer]
                 lhs = q * q + scale.kappa * shell.height(layer)
                 assert abs(lhs - k * k) <= 1e-13 * max(1.0, abs(k) ** 2)

@@ -11,6 +11,7 @@ from radscat import (
     DECAYING,
     GROWING,
     GamowState,
+    IllConditionedResidueError,
     Region,
     find_resonances,
     gamow_eigenfunction,
@@ -144,6 +145,11 @@ class TestContourFailurePaths:
         with pytest.raises(OverflowError):
             find_resonances(shell, scale, Region(0.05, 6.0, -400.0, -1e-6))
 
+    def test_max_states_truncates_with_warning(self, states, shell, scale):
+        with pytest.warns(UserWarning, match="truncating 3 resonances to max_states=1"):
+            found = find_resonances(shell, scale, Region(0.0, 6.0, -2.0, -1e-6), max_states=1)
+        assert_same_roots(found, states[:1])
+
 
 @st.composite
 def barrier_stacks(draw):
@@ -187,6 +193,12 @@ class TestResidue:
         for s in states:
             p = growing_partner(s)
             assert abs(p.norm_sq - s.norm_sq.conjugate()) <= 1e-8 * abs(s.norm_sq)
+
+    def test_off_pole_point_is_ill_conditioned(self, shell, scale):
+        # away from a pole the contour integral of S vanishes (about 5e-20)
+        # while Jminus / Jplus' does not (about 0.049 + 0.095i)
+        with pytest.raises(IllConditionedResidueError, match="disagree"):
+            residue_norm(shell, scale, 3 - 0.5j)
 
     def test_bad_point_rejected(self, shell, scale):
         from radscat.resonance import _build_state

@@ -11,6 +11,7 @@ from radscat import (
     rk_oracle,
     solve_regular,
 )
+from radscat.solution import _carry
 
 HALF_I = 1 / 2j
 
@@ -23,6 +24,13 @@ def fit_exterior_amplitudes(pot, scale, k, chi_at):
                   [np.exp(1j * k * r2), np.exp(-1j * k * r2)]])
     j3, j4 = np.linalg.solve(m, np.array([chi_at(r1), chi_at(r2)]))
     return j3, j4
+
+
+def values_at(sol, i, r):
+    """(chi, chi', log_scale) of layer i's record carried to radius r; the
+    actual values are exp(log_scale) larger."""
+    chi, dchi, m = _carry(sol.q[i], sol.chi[i], sol.dchi[i], r - sol.r_left[i])
+    return chi, dchi, sol.log_scale[i] + m
 
 
 def complex_k_grid(rng, n=40, radius=3.0):
@@ -39,8 +47,8 @@ class TestSolveRegular:
 
     def test_innermost_amplitudes_exact(self, shell, scale):
         # chi = sin(k r) in the free core: (chi, chi') = (0, k) at r = 0
-        first = solve_regular(shell, scale, 3.0).layers[0]
-        assert (first.r_left, first.chi, first.dchi, first.log_scale) == (0.0, 0, 3.0, 0.0)
+        sol = solve_regular(shell, scale, 3.0)
+        assert (sol.r_left[0], sol.chi[0], sol.dchi[0], sol.log_scale[0]) == (0.0, 0, 3.0, 0.0)
 
     def test_k_zero_rejected(self, shell, scale):
         with pytest.raises(ValueError):
@@ -68,10 +76,8 @@ class TestSolveRegular:
         for k in (3.0, 2.0 - 0.7j):
             sol = solve_regular(shell, scale, k)
             for i, b in enumerate(shell.breakpoints):
-                left = sol.layers[i]
-                right = sol.layers[i + 1]
-                vl, dl, lsl = left.values_at(b - left.r_left)
-                vr, dr, lsr = right.values_at(b - right.r_left)
+                vl, dl, lsl = values_at(sol, i, b)
+                vr, dr, lsr = values_at(sol, i + 1, b)
                 sl, sr = math.exp(lsl), math.exp(lsr)
                 ref = max(abs(vl * sl), abs(dl * sl))
                 assert abs(vl * sl - vr * sr) <= 1e-12 * ref
@@ -101,7 +107,7 @@ class TestSolveRegular:
         pot = make_shell(9.0, 1.0, 2.0, scale)
         k = 3.0
         sol = solve_regular(pot, scale, k)
-        assert sol.layers[1].q == 0
+        assert sol.q[1] == 0
         rs = np.linspace(0.2, 4.0, 30)
         chi_rk = rk_oracle(pot, scale, k, rs)
         assert np.max(np.abs(evaluate_chi(sol, rs) - chi_rk)) < 1e-8
@@ -110,8 +116,8 @@ class TestSolveRegular:
         # growth exponents above the log-scaling threshold
         k = 2.0 - 60.0j
         sol = solve_regular(shell, scale, k)
-        for w in sol.layers:
-            assert np.isfinite(w.chi) and np.isfinite(w.dchi)
+        for chi, dchi in zip(sol.chi, sol.dchi):
+            assert np.isfinite(chi) and np.isfinite(dchi)
         rs = np.array([0.5, 1.5, 1.9, 2.5])
         chi_rk = rk_oracle(shell, scale, k, rs, step=2e-5)
         chi = evaluate_chi(sol, rs)
@@ -140,6 +146,13 @@ class TestEvaluate:
             evaluate_chi(sol, -1.0)
         with pytest.raises(ValueError):
             evaluate_chi_derivative(sol, -1.0)
+
+    def test_array_solution_rejected(self, shell, scale):
+        # three radii on three lanes would broadcast into a wrong answer
+        sol = solve_regular(shell, scale, np.array([1.0, 2.0, 3.0]))
+        for evaluate in (evaluate_chi, evaluate_chi_derivative):
+            with pytest.raises(ValueError, match="array of k"):
+                evaluate(sol, np.array([0.5, 1.0, 1.5]))
 
     def test_finite_difference_convergence_order(self, shell, scale):
         sol = solve_regular(shell, scale, 3.0)

@@ -6,6 +6,7 @@ from scipy.integrate import simpson
 
 from radscat import (
     Family,
+    Potential,
     Region,
     evaluate_chi,
     find_resonances,
@@ -83,9 +84,17 @@ class TestSmearedDelta:
         b = smeared_delta_check(Family.OUT, shell, scale, 16.0, 2.0)
         assert abs(a.lhs - b.lhs) <= 1e-10 * a.rhs
 
+    def test_default_r_max_covers_the_packet(self, shell, scale):
+        # the packet's width in r is 2 sqrt(kappa g_center) / (kappa g_width) = 4
+        assert smeared_delta_check(Family.IN, shell, scale, 16.0, 2.0).r_max == 20.0
+        small = Potential((0.4, 0.85), (0.0, 6.0))
+        assert smeared_delta_check(Family.IN, small, scale, 16.0, 2.0).r_max == 0.85 + 16.0
+
     def test_preconditions(self, shell, scale):
         with pytest.raises(ValueError, match="supported inside"):
             smeared_delta_check(Family.IN, shell, scale, 5.0, 2.0)
+        with pytest.raises(ValueError, match="width must be positive"):
+            smeared_delta_check(Family.IN, shell, scale, 16.0, 0.0)
         with pytest.raises(ValueError, match="r_max"):
             smeared_delta_check(Family.IN, shell, scale, 16.0, 2.0, r_max=5.0)
 
