@@ -296,9 +296,6 @@ def cmd_transform(cfg, scale, pot, tols):
     sec = _section(cfg, "transform")
     kind = _family(_need(sec, "family", "transform"))
     psi_spec = _need(sec, "psi", "transform")
-    r_max = _number(sec, "r_max", "transform", 10 * pot.outer_radius)
-    # Simpson's rule needs at least three samples
-    r = np.linspace(0.0, r_max, _count(sec, "n_r", "transform", 2001, least=3))
     try:
         center = float(psi_spec["center"])
         width = float(psi_spec["width"])
@@ -307,6 +304,9 @@ def cmd_transform(cfg, scale, pot, tols):
         raise ConfigError(f"psi spec needs numeric 'center' and 'width': {exc}") from exc
     if not width > 0:
         raise ConfigError(f"transform psi width must be positive, got {width}")
+    r_max = _number(sec, "r_max", "transform", max(10 * pot.outer_radius, center + 8 * width))
+    # Simpson's rule needs at least three samples
+    r = np.linspace(0.0, r_max, _count(sec, "n_r", "transform", 2001, least=3))
     psi = np.exp(-((r - center) ** 2) / (2 * width ** 2))
     if k0 is not None:
         psi = psi * np.exp(1j * k0 * r)

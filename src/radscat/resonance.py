@@ -361,7 +361,7 @@ def residue_norm(pot: Potential, scale: PhysicalScale, k_pole: complex) -> compl
     The contour value (trapezoid on a circle, spectrally accurate) must agree
     with i*Jminus/Jplus' to RESIDUE_AGREEMENT_RTOL or the residue is declared
     ill-conditioned.  The contour is one batched S-matrix evaluation, which
-    raises PoleError or OverflowError if any of its points does.
+    raises PoleError if any of its points does, and does not overflow.
     """
     k_pole = complex(k_pole)
     r0 = _CONTOUR_RADIUS * max(1.0, abs(k_pole))

@@ -20,7 +20,8 @@ One function, ``solve_regular``, walks the runs (``_walk``) for one complex k
 (``math`` and Python complex) or a 1-d array of k (numpy, one lane per k),
 with every layer's wavenumber from one rule (``_wavenumbers``).  It keeps
 per-layer columns (q, r_left, chi, chi', log scale): ``evaluate_chi`` and
-the Gamow states read them all, ``spectral.jost`` the exterior's.
+the Gamow states read them all, ``spectral`` the exterior's, fitted as
+mantissas (J3, J4)/e^L with one real L (``_exterior``, ``_unscale``).
 """
 
 from __future__ import annotations
@@ -94,13 +95,31 @@ def _fit(v, dv, q):
     return (v + w) / 2, (v - w) / 2
 
 
-def _exterior(k, r_left, chi, dchi, log_scale, exp):
-    """Un-scaled (J3, J4) from (chi, chi') at r_left, the start of the
-    exterior's run; a value overflows only where the amplitude does."""
-    a_out, a_in = _fit(chi, dchi, k)
-    t_out, t_in, m = _shift(k, a_out, a_in, -r_left, exp)
-    s = exp(log_scale + m)
-    return s * t_out, s * t_in
+def _exterior(sol):
+    """(J3, J4) / e^L and the real L of the solution's exterior, fitted at the
+    start of its run: the mantissas stay finite wherever the kernel does."""
+    exp = np.exp if isinstance(sol.k, np.ndarray) else cmath.exp
+    a_out, a_in = _fit(sol.chi[-1], sol.dchi[-1], sol.k)
+    t_out, t_in, m = _shift(sol.k, a_out, a_in, -sol.r_left[-1], exp)
+    return t_out, t_in, sol.log_scale[-1] + m
+
+
+def _unscale(k, a, b, log_scale):
+    """(a, b) times e^log_scale, the one place where J3, J4 or J+- are formed.
+    A scalar k raises OverflowError where they leave the float range; a lane
+    of an array k comes out non-finite there instead."""
+    if isinstance(k, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.exp(log_scale)
+            return s * a, s * b
+    try:
+        s = math.exp(log_scale)
+    except OverflowError:  # e^L alone leaves the float range
+        s = math.inf
+    a, b = s * a, s * b
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise OverflowError(f"Jost functions overflow at k={k}")
+    return a, b
 
 
 def _wavenumbers(pot: Potential, scale: PhysicalScale, k):
@@ -144,7 +163,6 @@ class LayerSolution:
 
     k: complex
     pot: Potential
-    scale: PhysicalScale
     q: tuple
     r_left: tuple
     chi: tuple
@@ -154,13 +172,9 @@ class LayerSolution:
     @property
     def exterior_amplitudes(self):
         """(c_out, c_in) of the exterior, chi = c_out e^{ikr} + c_in e^{-ikr}:
-        the shell's (J3, J4).  A lane of an array k whose amplitudes leave
-        the float range comes out non-finite."""
-        last = (self.q[-1], self.r_left[-1], self.chi[-1], self.dchi[-1], self.log_scale[-1])
-        if isinstance(self.k, np.ndarray):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return _exterior(*last, np.exp)
-        return _exterior(*last, cmath.exp)
+        the shell's (J3, J4).  A scalar k raises OverflowError where they
+        leave the float range; a lane of an array k comes out non-finite."""
+        return _unscale(self.k, *_exterior(self))
 
 
 def solve_regular(pot: Potential, scale: PhysicalScale, k) -> LayerSolution:
@@ -176,11 +190,11 @@ def solve_regular(pot: Potential, scale: PhysicalScale, k) -> LayerSolution:
         raise ValueError("k = 0 is degenerate: sin(kr) vanishes identically")
     if not lanes:
         q = _wavenumbers(pot, scale, k)
-        return LayerSolution(k, pot, scale, *zip(*_walk(pot, q, 0j, q[0] if q[0] else 1 + 0j, math)))
+        return LayerSolution(k, pot, *zip(*_walk(pot, q, 0j, q[0] if q[0] else 1 + 0j, math)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         q = _wavenumbers(pot, scale, k)
         columns = zip(*_walk(pot, q, np.zeros_like(k), np.where(q[0] == 0, 1, q[0]), np))
-    return LayerSolution(k, pot, scale, *columns)
+    return LayerSolution(k, pot, *columns)
 
 
 def _evaluate(sol: LayerSolution, r, derivative: bool):

@@ -32,6 +32,12 @@ differ only by the energy-dependent factor in front of it
     in:             sqrt(rho+(k)) chi(r;k) / Jplus(k)
     out:            sqrt(rho-(k)) chi(r;k) / Jminus(k)
 
+Scaling.  One solve gives the pair divided by e^L, with one real L
+(``_scaled_pair``).  S and the family factors are ratios of it, and the
+eigenfunctions move e^L onto chi, so a tall barrier or a deep complex k
+leaves them finite.  Only ``jost`` multiplies by e^L, and raises
+OverflowError for a scalar k where J+- leave the float range.
+
 Arrays.  ``jost`` and ``s_matrix`` take either one k or a 1-d array of k;
 ``solution.solve_regular`` propagates an array in one pass, and the pair has
 array fields.  ``scattering_density``, ``standing_density`` and
@@ -40,7 +46,6 @@ array fields.  ``scattering_density``, ``standing_density`` and
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import warnings
@@ -51,7 +56,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .potential import PhysicalScale, Potential, sqrt_branch
-from .solution import LayerSolution, evaluate_chi, solve_regular
+from .solution import LayerSolution, _exterior, _unscale, evaluate_chi, solve_regular
 
 
 class Family(str, enum.Enum):
@@ -85,54 +90,30 @@ def _any(mask) -> bool:
     return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def _finite(x) -> bool:
-    """Whether a complex, or every element of a complex array, is finite."""
-    return bool(np.isfinite(x).all()) if isinstance(x, np.ndarray) else cmath.isfinite(x)
-
-
 def _first(k, mask):
     """The first k where mask is set (k itself for a scalar)."""
     return np.asarray(k)[mask].flat[0]
 
 
-def _jost_pair(k, j3, j4) -> JostPair:
-    """Jplus = -2i J4, Jminus = 2i J3 from the exterior amplitudes (J3, J4)."""
-    return JostPair(k=k, j_plus=-2j * j4, j_minus=2j * j3)
-
-
-def _solved_pair(sol: LayerSolution) -> JostPair:
-    """The pair of one solve.
-
-    A scalar k raises OverflowError where J+- leave the float range, for
-    example through the factor 2 of a J4 near 1e308; a lane of an array k
-    comes out non-finite there instead.
-    """
-    if isinstance(sol.k, np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _jost_pair(sol.k, *sol.exterior_amplitudes)
-    jp = _jost_pair(sol.k, *sol.exterior_amplitudes)
-    if not (cmath.isfinite(jp.j_plus) and cmath.isfinite(jp.j_minus)):
-        raise OverflowError(f"Jost functions overflow at k={sol.k}")
-    return jp
+def _scaled_pair(sol: LayerSolution) -> tuple[JostPair, float]:
+    """Jplus = -2i J4, Jminus = 2i J3 of one solve, divided by e^L, and the
+    real L (lanes for an array k): every ratio of the pair is formed from it."""
+    j3, j4, log_scale = _exterior(sol)
+    return JostPair(k=sol.k, j_plus=-2j * j4, j_minus=2j * j3), log_scale
 
 
 def jost(pot: Potential, scale: PhysicalScale, k) -> JostPair:
     """Jost functions at complex k, or at a 1-d array of k in one pass (one
     solve); a lane that overflows comes out non-finite, where a scalar k
     raises OverflowError."""
-    return _solved_pair(solve_regular(pot, scale, k))
+    jp, log_scale = _scaled_pair(solve_regular(pot, scale, k))
+    return JostPair(jp.k, *_unscale(jp.k, jp.j_plus, jp.j_minus, log_scale))
 
 
 def s_matrix(pot: Potential, scale: PhysicalScale, k) -> SMatrixValue:
-    """S(k) = Jminus/Jplus, elementwise for an array k.
-
-    Raises PoleError at zeros of Jplus and OverflowError where the Jost
-    functions leave the float range, at any lane of an array.
-    """
-    jp = jost(pot, scale, k)
-    if not (_finite(jp.j_plus) and _finite(jp.j_minus)):  # overflowed lanes of an array
-        bad = ~(np.isfinite(jp.j_plus) & np.isfinite(jp.j_minus))
-        raise OverflowError(f"Jost functions overflow at k={_first(jp.k, bad)}")
+    """S(k) = Jminus/Jplus of the scaled pair, elementwise for an array k:
+    finite also where J+- overflow.  Raises PoleError at zeros of Jplus."""
+    jp, _ = _scaled_pair(solve_regular(pot, scale, k))
     at_pole = abs(jp.j_plus) <= 1e-14 * abs(jp.j_minus)
     if _any(at_pole):
         raise PoleError(f"Jplus vanishes at k={_first(jp.k, at_pole)}: resonance pole")
@@ -186,7 +167,10 @@ def eigenfunction(kind: Family, pot: Potential, scale: PhysicalScale, energy: fl
     if energy <= 0:
         raise ValueError(f"physical spectrum is (0, inf); got E={energy}")
     sol = solve_regular(pot, scale, scale.wavenumber(energy).real)
-    return family_factor(kind, scale, _solved_pair(sol)) * evaluate_chi(sol, r)
+    jp, log_scale = _scaled_pair(sol)  # the factor has degree -1 in the pair
+    sol = LayerSolution(sol.k, sol.pot, sol.q, sol.r_left, sol.chi, sol.dchi,
+                        tuple(ls - log_scale for ls in sol.log_scale))
+    return family_factor(kind, scale, jp) * evaluate_chi(sol, r)
 
 
 def energy_transform(

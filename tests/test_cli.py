@@ -174,12 +174,17 @@ class TestExitCodes:
 
     def test_overflow_is_numerical(self, capsys, tmp_path):
         # the exterior amplitudes of a 1e6 barrier exceed the float range
-        # at every grid point
+        # at every grid point: the criterion's factors overflow with them,
+        # while S, a ratio of the scaled pair, stays unimodular
         cfg = self.write_cfg(tmp_path, heights=[0.0, 1e6])
-        for command in ("smatrix", "criterion"):
-            code, out, err = run(capsys, command, "--config", cfg)
-            assert code == EXIT_NUMERICAL, command
-            assert "numerical failure" in err and out == ""
+        code, out, err = run(capsys, "criterion", "--config", cfg)
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in err and out == ""
+        code, out, _ = run(capsys, "smatrix", "--config", cfg)
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert len(rows) == SHELL_CFG["smatrix"]["n_k"]
+        assert max(abs(float(r[4]) - 1.0) for r in rows) <= 1e-12
 
     def test_bad_tolerance(self, capsys, shell_cfg):
         for item in ("oops", "symetry=1e-3", "symmetry=nan", "symmetry=inf",
@@ -330,6 +335,23 @@ class TestTransformCommand:
         cols, rows = parse_csv(out)
         assert cols == ["E", "re_coeff", "im_coeff"]
         assert len(rows) == 40
+
+    def test_default_r_max_covers_the_packet(self, capsys, tmp_path):
+        # a packet at r = 30 lies beyond 10 b = 20: the default r_max must
+        # reach center + 8 widths = 46, or every coefficient comes out ~3e-7
+        section = {"family": "in", "psi": {"center": 30.0, "width": 2.0, "k0": 3.0},
+                   "e_min": 4.0, "e_max": 14.0, "n_e": 11, "n_r": 4001}
+        coeffs = {}
+        for r_max in (None, 60.0):
+            sec = section if r_max is None else dict(section, r_max=r_max)
+            p = tmp_path / "cfg.json"
+            p.write_text(json.dumps(dict(SHELL_CFG, transform=sec)))
+            code, out, _ = run(capsys, "transform", "--config", str(p))
+            assert code == EXIT_OK
+            _, rows = parse_csv(out)
+            coeffs[r_max] = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+        assert np.abs(coeffs[60.0]).min() > 0.1
+        assert np.max(np.abs(coeffs[None] - coeffs[60.0])) <= 1e-6 * np.abs(coeffs[60.0]).max()
 
 
 class TestOutputContract:

@@ -1,11 +1,16 @@
+import importlib.util
 import math
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.integrate import simpson
 
 from radscat import (
     Family,
+    PhysicalScale,
     Potential,
     PoleError,
     Region,
@@ -17,6 +22,7 @@ from radscat import (
     jost,
     measure,
     s_matrix,
+    smeared_delta_check,
     solve_regular,
 )
 
@@ -185,3 +191,92 @@ class TestEnergyTransform:
         coeffs = energy_transform(Family.STANDING_WAVE, shell, scale, psi, r_max, e_grid)
         peak = e_grid[np.argmax(np.abs(coeffs))]
         assert abs(peak - e0) <= 0.2
+
+
+def load_reference():
+    """perfbench/reference.py, the mpmath Jost function, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTallBarriers:
+    """J+- of a tall barrier leave the float range; S and the families,
+    ratios of the pair, do not."""
+
+    @pytest.mark.parametrize("v0", [1e5, 5e5, 1e6, 1e7])
+    def test_s_is_unimodular_and_matches_reference(self, v0, scale):
+        pot = Potential((1.0, 2.0), (0.0, v0))
+        ref = load_reference().RefPotential(pot.breakpoints, pot.heights, scale.kappa)
+        ks = np.array([3.0, 30.0])
+        batch = s_matrix(pot, scale, ks).s
+        for k, s_lane in zip(ks, batch):
+            s = s_matrix(pot, scale, k).s
+            want = complex(ref.s_matrix(k))
+            assert abs(abs(s) - 1.0) <= 1e-12, k
+            assert abs(s - want) <= 1e-12 * abs(want), k
+            assert abs(s_lane - want) <= 1e-12 * abs(want), k
+        if v0 >= 1e6:
+            # e^L alone leaves the float range: only J+- themselves overflow
+            with pytest.raises(OverflowError, match="Jost functions overflow"):
+                jost(pot, scale, 30.0)
+
+    def test_deep_complex_s_underflows(self, shell, scale):
+        # |S(3 - 300j)| is about 3e-517 and |Jplus| about 3e516
+        assert s_matrix(shell, scale, 3 - 300j).s == 0
+        lanes = s_matrix(shell, scale, np.array([3 - 300j, 3 - 1j])).s
+        assert lanes[0] == 0
+        assert lanes[1] == pytest.approx(s_matrix(shell, scale, 3 - 1j).s, rel=1e-14)
+
+    # the convergence flag has no noise floor yet: a base error near the
+    # rounding floor can read as non-convergent
+    @pytest.mark.filterwarnings("ignore:smeared delta check not converged")
+    @pytest.mark.parametrize("v0", [5e5, 1e6, 1e7])
+    def test_continuum_is_finite(self, v0, scale):
+        pot = Potential((1.0, 2.0), (0.0, v0))
+        r = np.linspace(0.0, 20.0, 1001)
+        psi = np.exp(-((r - 8.0) ** 2) / 2)
+        e_grid = np.linspace(4.0, 14.0, 11)
+        for fam in Family:
+            phi = eigenfunction(fam, pot, scale, 9.0, r)
+            assert np.isfinite(phi).all() and 0.1 < np.abs(phi).max() < 1.0, fam
+            assert np.isfinite(energy_transform(fam, pot, scale, psi, 20.0, e_grid)).all(), fam
+            rep = smeared_delta_check(fam, pot, scale, 16.0, 2.0, n_r=1001, n_e=201)
+            assert rep.relative_error <= 1e-3, fam
+
+
+@st.composite
+def tall_stacks(draw):
+    """1-5 layers whose heights reach 1e7, wells and steps among them."""
+    n = draw(st.integers(1, 5))
+    widths = draw(st.lists(st.floats(0.1, 0.6), min_size=n, max_size=n))
+    heights = draw(st.lists(st.one_of(st.floats(-20.0, 50.0),
+                                      st.floats(1.0, 7.0).map(lambda e: 10.0 ** e)),
+                            min_size=n, max_size=n))
+    return Potential(tuple(np.cumsum(widths)), tuple(heights))
+
+
+class TestRandomTallStacks:
+    @settings(max_examples=60, deadline=None)
+    @given(pot=tall_stacks(), ks=st.lists(st.floats(0.05, 30.0), min_size=1, max_size=8))
+    def test_s_is_unimodular(self, pot, ks):
+        scale = PhysicalScale(1.0)
+        batch = s_matrix(pot, scale, np.array(ks)).s
+        for k, s_lane in zip(ks, batch):
+            assert abs(abs(s_matrix(pot, scale, k).s) - 1.0) <= 1e-12, k
+            assert abs(abs(s_lane) - 1.0) <= 1e-12, k
+
+    @settings(max_examples=40, deadline=None)
+    @given(pot=tall_stacks(), energy=st.floats(0.05, 400.0),
+           rs=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5))
+    def test_in_is_s_times_out(self, pot, energy, rs):
+        scale = PhysicalScale(1.0)
+        # the drawn radii, and one in the exterior where |psi| is of order 1
+        r = pot.outer_radius * np.array(rs + [1.5])
+        s = s_matrix(pot, scale, scale.wavenumber(energy).real).s
+        psi_in = eigenfunction(Family.IN, pot, scale, energy, r)
+        psi_out = eigenfunction(Family.OUT, pot, scale, energy, r)
+        assert np.isfinite(psi_in).all()
+        assert np.max(np.abs(psi_in - s * psi_out)) <= 1e-12 * np.abs(psi_in).max()
