@@ -1,14 +1,15 @@
 """Independent oracles and distributional checks.
 
 Everything here exists to check the production modules from a different
-direction: a fixed-step Runge-Kutta integrator for chi, a closed-form shell
-Jost function with a brute-force grid/bisection root scan, and the smeared
-delta-normalization test that is the only meaningful way to probe
-distributional orthonormality numerically.
+direction: a fixed-step Runge-Kutta integrator for chi and the S fitted to
+it, a closed-form shell Jost function with a brute-force grid/bisection root
+scan, and the smeared delta-normalization test that is the only meaningful
+way to probe distributional orthonormality numerically.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -67,6 +68,15 @@ def rk_oracle(pot, scale, k, r_samples, step: float | None = None):
     out = np.empty_like(result)
     out[order] = result
     return out if np.asarray(r_samples).ndim else out[0]
+
+
+def rk_oracle_s(pot, scale, k: float) -> complex:
+    """S = -J3/J4 at real k > 0, with chi = J3 e^{ikr} + J4 e^{-ikr} of ``rk_oracle``
+    fitted at r = b and b + pi/(2k), where e^{+-ikr} have turned by +-i."""
+    b = pot.outer_radius
+    c1, c2 = map(complex, rk_oracle(pot, scale, k, [b, b + math.pi / (2 * k)]))
+    # the 2x2 solve: J3 e^{ikb} = (c1 - i c2) / 2, J4 e^{-ikb} = (c1 + i c2) / 2
+    return -cmath.exp(-2j * k * b) * (c1 - 1j * c2) / (c1 + 1j * c2)
 
 
 # ---------------------------------------------------------------------------

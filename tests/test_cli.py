@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import radscat
+import radscat.cli
+import radscat.spectral
 from radscat import Region, find_resonances, gamow_eigenfunction
-from radscat.cli import _COMMANDS, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from radscat.cli import _COMMANDS, _TOLERANCES, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 SHELL_CFG = {
     "kappa": 1.0,
@@ -112,6 +114,49 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "config error" in err and "k_min" in err
 
+    @pytest.mark.parametrize("command, section, err_part", [
+        ("smatrix", {"smatrix": {"k_min": 0.5, "k_max": math.inf}}, "k_max"),
+        ("smatrix", {"smatrix": {"k_min": math.nan, "k_max": 6.0}}, "k_min"),
+        # an integer too large for a float
+        ("smatrix", {"smatrix": {"k_min": 0.5, "k_max": 10 ** 400}}, "k_max"),
+        ("transform", {"transform": dict(SHELL_CFG["transform"],
+                                         psi={"center": math.nan, "width": 0.5})}, "center"),
+        ("transform", {"transform": dict(SHELL_CFG["transform"],
+                                         psi={"center": 5.0, "width": math.inf})}, "width"),
+        ("transform", {"transform": dict(SHELL_CFG["transform"],
+                                         psi={"center": 5.0, "width": 0.5, "k0": math.nan})},
+         "k0"),
+        ("transform", {"transform": dict(SHELL_CFG["transform"], r_max=math.inf)}, "r_max"),
+        ("transform", {"transform": dict(SHELL_CFG["transform"], e_max=math.inf)}, "e_max"),
+        ("eigenfunction", {"eigenfunction": dict(SHELL_CFG["eigenfunction"], r_max=math.nan)},
+         "r_max"),
+        ("eigenfunction", {"eigenfunction": dict(SHELL_CFG["eigenfunction"], energy=math.inf)},
+         "energy"),
+        ("criterion", {"criterion": {"label": "in", "grid": {"re_max": math.inf}}}, "re_max"),
+        ("resonances", {"resonances": {"region": dict(SHELL_CFG["resonances"]["region"],
+                                                      im_min=-math.inf)}}, "im_min"),
+        ("verify", {"verify": {"r_max": math.inf}}, "r_max"),
+    ])
+    def test_non_finite_number(self, capsys, tmp_path, command, section, err_part):
+        # json reads the literals NaN, Infinity and -Infinity as floats
+        cfg = self.write_cfg(tmp_path, **section)
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert "config error" in err and err_part in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command, section", [
+        ("resonances", {"resonances": {"region": [0.05, 6.0, -2.0, -1e-6]}}),
+        ("transform", {"transform": dict(SHELL_CFG["transform"], psi="gaussian")}),
+        ("transform", {"transform": {k: v for k, v in SHELL_CFG["transform"].items()
+                                     if k != "psi"}}),
+    ])
+    def test_region_or_psi_not_an_object(self, capsys, tmp_path, command, section):
+        cfg = self.write_cfg(tmp_path, **section)
+        code, out, err = run(capsys, command, "--config", cfg)
+        assert code == EXIT_CONFIG
+        assert "config error" in err and out == ""
+
     def test_contour_failure_is_numerical(self, capsys, tmp_path):
         # Jplus has a real zero at k = sqrt(5) on the region's upper edge
         cfg = self.write_cfg(tmp_path, breakpoints=[1.0], heights=[5.0], resonances={
@@ -187,8 +232,11 @@ class TestExitCodes:
         assert max(abs(float(r[4]) - 1.0) for r in rows) <= 1e-12
 
     def test_bad_tolerance(self, capsys, shell_cfg):
+        # proportionality and measure_identity named two verify rows that
+        # held by construction; they are unknown names now
         for item in ("oops", "symetry=1e-3", "symmetry=nan", "symmetry=inf",
-                     "symmetry=0", "symmetry=-1"):
+                     "symmetry=0", "symmetry=-1", "proportionality=1e-12",
+                     "measure_identity=1e-12"):
             code, out, err = run(capsys, "smatrix", "--config", shell_cfg,
                                  "--tolerance", item)
             assert code == EXIT_CONFIG, item
@@ -198,6 +246,7 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "--config", shell_cfg)
         assert code == EXIT_OK
         _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == VERIFY_ROWS
         assert all(r[-1] == "pass" for r in rows)
 
     def test_verify_default_smear_covers_the_packet(self, capsys, tmp_path):
@@ -223,6 +272,56 @@ class TestExitCodes:
         assert "verify failed" in err
         _, rows = parse_csv(out)
         assert any(r[0] == "unitarity" and r[-1] == "FAIL" for r in rows)
+
+
+VERIFY_ROWS = ["unitarity", "s_oracle", "smeared_delta_standing_wave",
+               "smeared_delta_in", "smeared_delta_out"]
+
+
+def wrong_jminus(factor):
+    """``spectral._scaled_pair`` with Jminus multiplied by ``factor``: S is
+    off by that factor, while |S| and the smeared families are not."""
+    right = radscat.spectral._scaled_pair
+
+    def pair(sol):
+        jp, log_scale = right(sol)
+        return radscat.JostPair(jp.k, jp.j_plus, factor * jp.j_minus), log_scale
+    return pair
+
+
+class TestVerifyCommand:
+    @pytest.mark.parametrize("factor", [-1.0, np.exp(0.1j)])
+    def test_wrong_s_fails_the_oracle_row(self, capsys, monkeypatch, shell_cfg, factor):
+        monkeypatch.setattr(radscat.spectral, "_scaled_pair", wrong_jminus(factor))
+        code, out, err = run(capsys, "verify", "--config", shell_cfg)
+        assert code == EXIT_NUMERICAL and "verify failed" in err
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == VERIFY_ROWS
+        assert [r[0] for r in rows if r[-1] == "FAIL"] == ["s_oracle"]
+
+    @pytest.mark.filterwarnings("ignore:smeared delta check not converged")
+    def test_tall_shell_prints_every_row(self, capsys, monkeypatch, tmp_path):
+        # J+- of a 3e5 barrier overflow at small k; S and the families are
+        # ratios of the scaled pair, and the oracle's chi stays in range.  So
+        # every error is within tolerance, and a row fails exactly when it is
+        # a smear row whose refinement did not converge
+        converged = {}
+        real_check = radscat.cli.smeared_delta_check
+
+        def check(kind, *args, **kwargs):
+            rep = real_check(kind, *args, **kwargs)
+            converged[f"smeared_delta_{kind.value}"] = rep.converged
+            return rep
+        monkeypatch.setattr(radscat.cli, "smeared_delta_check", check)
+        cfg = tmp_path / "tall.json"
+        cfg.write_text(json.dumps(dict(SHELL_CFG, heights=[0.0, 3e5])))
+        code, out, _ = run(capsys, "verify", "--config", str(cfg))
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == VERIFY_ROWS
+        for name, error, tol, status in rows:
+            assert float(error) <= float(tol), name
+            assert status == ("pass" if converged.get(name, True) else "FAIL"), name
+        assert (code == EXIT_OK) == all(r[-1] == "pass" for r in rows)
 
 
 class TestSMatrixCommand:
@@ -266,6 +365,15 @@ class TestResonancesCommand:
             assert float(row[cols.index("re_k")]) == pytest.approx(st.k_pole.real, rel=1e-10)
             assert float(row[cols.index("im_k")]) == pytest.approx(st.k_pole.imag, rel=1e-8)
             assert float(row[cols.index("gamma_n")]) == pytest.approx(st.gamma, rel=1e-8)
+
+    def test_missed_roots_is_numerical(self, capsys, tmp_path, double_zero_jost):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SHELL_CFG, resonances={"region": {
+            "re_min": 1e-6, "re_max": 6.0, "im_min": -2.0, "im_max": -1e-6}})))
+        with pytest.warns(UserWarning, match="unresolved zero cluster of order 2"):
+            code, out, err = run(capsys, "resonances", "--config", str(cfg))
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in err and "counts 2 zeros" in err and out == ""
 
 
 class TestEigenfunctionCommand:
@@ -355,6 +463,13 @@ class TestTransformCommand:
 
 
 class TestOutputContract:
+    def test_schema_lists_the_tolerances(self):
+        # the table under "Flags and exit codes" in docs/SCHEMA.md
+        text = (Path(__file__).parent.parent / "docs" / "SCHEMA.md").read_text()
+        table = text.split("| name | default | read by |")[1].split("\n\n")[0]
+        rows = [line.split("|")[1:3] for line in table.strip().splitlines()[1:]]
+        assert {name.strip().strip("`"): float(default) for name, default in rows} == _TOLERANCES
+
     def test_header_records_tolerances(self, capsys, shell_cfg):
         _, out, _ = run(capsys, "smatrix", "--config", shell_cfg,
                         "--tolerance", "unitarity=1e-9")

@@ -302,6 +302,21 @@ class TestRandomStackSymmetries:
             assert abs(j3c - np.conj(j4)) <= 1e-12 * ref
             assert abs(j4c - np.conj(j3)) <= 1e-12 * ref
 
+    @settings(max_examples=60, deadline=None)
+    @given(pot=potentials(), ks=st.lists(OFF_AXES, min_size=1, max_size=8))
+    def test_reflection_conjugates_each_amplitude(self, pot, ks):
+        # chi(r; -k*) = sign conj chi(r; k): chi starts as sin(q0 r), and
+        # q0(-k*) is conj q0(k) for sqrt(k^2 - kappa V0) off its cut, but
+        # -conj q0(k) for q0 = k in a free innermost layer.  So
+        # J+-(-k*) = -conj J+-(k), or +conj J+-(k) when V0 = 0
+        scale = PhysicalScale(1.0)
+        sign = -1.0 if pot.heights[0] == 0 else 1.0
+        reflected = list(scalar_and_array(pot, scale, [-k.conjugate() for k in ks]))
+        for (j3, j4), (j3r, j4r) in zip(scalar_and_array(pot, scale, ks), reflected):
+            ref = max(abs(j3), abs(j4), 1.0)
+            assert abs(j3r - sign * np.conj(j3)) <= 1e-12 * ref
+            assert abs(j4r - sign * np.conj(j4)) <= 1e-12 * ref
+
 
 class TestRadialAxis:
     @settings(max_examples=30, deadline=None)

@@ -12,6 +12,7 @@ from radscat import (
     GROWING,
     GamowState,
     IllConditionedResidueError,
+    MissedRootsError,
     Region,
     find_resonances,
     gamow_eigenfunction,
@@ -149,6 +150,13 @@ class TestContourFailurePaths:
         with pytest.warns(UserWarning, match="truncating 3 resonances to max_states=1"):
             found = find_resonances(shell, scale, Region(0.0, 6.0, -2.0, -1e-6), max_states=1)
         assert_same_roots(found, states[:1])
+
+    def test_double_zero_is_an_unresolved_cluster(self, double_zero_jost, shell, scale):
+        # the winding count is 2, the quadtree shrinks onto the zero without
+        # splitting it, and the one refined root falls short of the count
+        with pytest.warns(UserWarning, match="unresolved zero cluster of order 2"):
+            with pytest.raises(MissedRootsError, match="counts 2 zeros .* but 1 were refined"):
+                find_resonances(shell, scale, Region(1e-6, 6.0, -2.0, -1e-6))
 
 
 @st.composite

@@ -18,6 +18,7 @@ from radscat import (
     smeared_delta_check,
     solve_regular,
 )
+from radscat.verification import rk_oracle_s
 
 
 class TestRkOracle:
@@ -44,6 +45,17 @@ class TestRkOracle:
     def test_scalar_input_gives_scalar(self, shell, scale):
         out = rk_oracle(shell, scale, 3.0, 1.0)
         assert np.ndim(out) == 0
+
+    @pytest.mark.parametrize("k", [0.5, 2.0, 2.37, 7.0])
+    def test_fitted_s_matches_closed_form_shell(self, shell, scale, k):
+        # on the real axis Jminus = conj(Jplus) when chi starts as sin(kr), so
+        # S = conj(Jplus) / Jplus
+        jp = shell_jost_plus_grid(8.0, 1.0, 2.0, scale.kappa, k)
+        assert abs(rk_oracle_s(shell, scale, k) - np.conj(jp) / jp) <= 1e-9
+
+    def test_fitted_s_of_the_free_case_is_one(self, free, scale):
+        for k in (0.5, 3.0, 9.0):
+            assert abs(rk_oracle_s(free, scale, k) - 1.0) <= 1e-12
 
 
 class TestSmearedDelta:
