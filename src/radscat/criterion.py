@@ -64,10 +64,6 @@ class CriterionReport:
     max_abs: float = 0.0
     n_nonfinite: int = 0
 
-    @property
-    def is_normalization(self) -> bool:
-        return self.classification == NORMALIZATION
-
 
 def check_symmetry(
     f: Callable[[np.ndarray], np.ndarray],

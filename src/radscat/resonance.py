@@ -1,19 +1,19 @@
 """Gamow resonance states: zeros of Jplus in the lower half k-plane.
 
-The finder combines an argument-principle winding count over the search
-rectangle (so no root can be silently missed) with quadtree subdivision and
-Newton refinement.  The counts come from one batched contour pass
-(``_windings``) that serves a whole set of rectangles at once: Jplus is
-evaluated on every edge point of every rectangle in one call, then, depth by
-depth, on the midpoints of all segments whose phase step has not settled in
-one call more.  The quadtree is walked breadth first, so all cells of a level
-that need splitting share one pass; the cells whose split lines hit a zero
-retry with the next split fraction in one more pass.  Newton refines each
-single-zero cell from its center with scalar solves.  (ZEAL batches the
-contours of a level the same way: Kravanja, Van Barel & Haegemans, Comput.
-Phys. Commun. 124 (2000) 212.)  Residue normalizations are computed two
-independent ways (contour integral of S and the derivative formula) and must
-agree.
+The finder certifies its roots by an argument-principle winding count over
+the search rectangle, and refines them by quadtree subdivision and Newton.
+It searches Jplus / e^L with the real L of one solve (``_jplus``), finite
+wherever the kernel is: the contour pass compares log f = log(Jplus / e^L) + L
+between segment ends, and Newton's stencil and the residue's Jminus / Jplus'
+take each sample relative to the L of the center; no function here un-scales
+J+-.  One batched contour pass (``_windings``) serves a set of rectangles:
+one call of f on all their edge points, then, depth by depth, one on the
+midpoints of all unsettled segments.  The cells of a quadtree level that need
+splitting share one pass, and those whose split lines hit a zero retry at the
+next split fraction in one more, as ZEAL batches the contours of a level
+(Kravanja, Van Barel & Haegemans, Comput. Phys. Commun. 124 (2000) 212).
+Residue normalizations are computed two independent ways (contour integral
+of S and the derivative formula) and must agree.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .potential import PhysicalScale, Potential
-from .solution import LayerSolution, evaluate_chi, solve_regular
-from .spectral import jost, s_matrix
+from .solution import LayerSolution, _exterior, _relative, evaluate_chi, solve_regular
+from .spectral import _scaled_pair, s_matrix
 
 DECAYING = "decaying"
 GROWING = "growing"
@@ -99,7 +100,7 @@ class GamowState:
     pot: Potential
     scale: PhysicalScale
     sol: LayerSolution
-    prefactor: complex  # norm / J3(k_pole); chi * prefactor is the eigenfunction
+    prefactor: complex  # norm / (J3 / e^L); times chi of sol, in units of e^L
     norm: complex
 
     @property
@@ -111,25 +112,34 @@ class GamowState:
         return 2 * abs(self.z_pole.imag)
 
 
+def _jplus(pot: Potential, scale: PhysicalScale, k):
+    """(Jplus / e^L, L) at k or at a 1-d array of k: what the finder searches."""
+    jp, log_scale = _scaled_pair(solve_regular(pot, scale, k))
+    return jp.j_plus, log_scale
+
+
 def _lanes(f, z: np.ndarray) -> np.ndarray:
-    """f on every point of z in one call; a non-finite value raises
-    OverflowError, as a scalar Jost solve does."""
-    v = np.asarray(f(z.ravel())).reshape(z.shape)
-    finite = np.isfinite(v)
+    """log f on every point of z in one call, from f's values or its pair
+    (m, L), f = m e^L; a non-finite m or L raises OverflowError."""
+    v = f(z.ravel())
+    m, log_scale = v if isinstance(v, tuple) else (np.asarray(v, dtype=complex), 0.0)
+    finite = np.isfinite(m) & np.isfinite(log_scale)
     if not finite.all():
-        raise OverflowError(f"f is not finite at k={z[~finite].flat[0]}")
-    return v
+        raise OverflowError(f"f is not finite at k={z.ravel()[~finite][0]}")
+    with np.errstate(divide="ignore"):
+        return (np.log(m) + log_scale).reshape(z.shape)
 
 
 def _windings(f, rects: list[Region], n_per_side: int = 16) -> list[int | ContourError]:
     """Argument-principle count of zeros of f inside each rectangle, or the
     ContourError that stopped it.
 
-    f takes a 1-d array of k.  Each side carries n_per_side + 1 points; a
-    segment settles when |arg(f1/f0)| <= 0.5 and |f1/f0| lies in [0.25, 4],
-    and is halved otherwise, down to depth 48.  One call of f takes the edge
-    points of all rectangles, and one more each depth takes the midpoints of
-    every unsettled segment of the rectangles that have not failed.
+    f takes a 1-d array of k (see ``winding_number``).  Each side carries
+    n_per_side + 1 points; a segment settles when |arg(f1/f0)| <= 0.5 and
+    |f1/f0| lies in [0.25, 4], both read from log f, and is halved otherwise,
+    down to depth 48.  One call of f takes the edge points of all rectangles,
+    and one more each depth takes the midpoints of every unsettled segment of
+    the rectangles that have not failed.
     """
     n = len(rects)
     errors: list[ContourError | None] = [None] * n
@@ -142,18 +152,19 @@ def _windings(f, rects: list[Region], n_per_side: int = 16) -> list[int | Contou
     corners = np.array([r.corners() for r in rects])
     c0, c1 = corners[..., None], np.roll(corners, -1, axis=1)[..., None]
     z = c0 + np.linspace(0.0, 1.0, n_per_side + 1) * (c1 - c0)
-    fz = _lanes(f, z)
+    lz = _lanes(f, z)
     z0, z1 = z[..., :-1].ravel(), z[..., 1:].ravel()
-    f0, f1 = fz[..., :-1].ravel(), fz[..., 1:].ravel()
+    l0, l1 = lz[..., :-1].ravel(), lz[..., 1:].ravel()
     owner = np.repeat(np.arange(n), 4 * n_per_side)
     total = np.zeros(n)
     for depth in range(50):
-        fail((f0 == 0) | (f1 == 0), lambda i: f"zero of f on the contour near {z0[i]}")
+        fail((l0.real == -np.inf) | (l1.real == -np.inf),
+             lambda i: f"zero of f on the contour near {z0[i]}")
         live = np.array([e is None for e in errors])[owner]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dphi = np.angle(f1 / f0)
-            ratio = np.abs(f1) / np.abs(f0)
-        settled = live & (np.abs(dphi) <= 0.5) & (0.25 <= ratio) & (ratio <= 4.0)
+        with np.errstate(invalid="ignore"):
+            dlog = l1 - l0
+        dphi = dlog.imag - 2 * math.pi * np.rint(dlog.imag / (2 * math.pi))
+        settled = live & (np.abs(dphi) <= 0.5) & (np.abs(dlog.real) <= math.log(4.0))
         total += np.bincount(owner[settled], dphi[settled], n)
         rest = live & ~settled
         if not rest.any():
@@ -161,11 +172,11 @@ def _windings(f, rects: list[Region], n_per_side: int = 16) -> list[int | Contou
         if depth == 49:
             fail(rest, lambda i: f"phase tracking did not settle on [{z0[i]}, {z1[i]}]")
             break
-        z0, z1, f0, f1, owner = z0[rest], z1[rest], f0[rest], f1[rest], owner[rest]
+        z0, z1, l0, l1, owner = z0[rest], z1[rest], l0[rest], l1[rest], owner[rest]
         zm = (z0 + z1) / 2
-        fm = _lanes(f, zm)
+        lm = _lanes(f, zm)
         z0, z1 = np.concatenate((z0, zm)), np.concatenate((zm, z1))
-        f0, f1 = np.concatenate((f0, fm)), np.concatenate((fm, f1))
+        l0, l1 = np.concatenate((l0, lm)), np.concatenate((lm, l1))
         owner = np.concatenate((owner, owner))
 
     out: list[int | ContourError] = []
@@ -181,8 +192,10 @@ def _windings(f, rects: list[Region], n_per_side: int = 16) -> list[int | Contou
 def winding_number(f, region: Region, n_per_side: int = 16) -> int:
     """Argument-principle count of zeros of analytic f inside the rectangle.
 
-    f takes a 1-d array of k.  Raises ContourError where phase tracking
-    fails, for example on a zero of f on the boundary.
+    f takes a 1-d array of k and returns f there, or a pair (m, L) of
+    lanes with f = m e^L and L real, as the finder's ``_jplus`` does.
+    Raises ContourError where phase tracking fails, for example on a zero of
+    f on the boundary.
     """
     (w,) = _windings(f, [region], n_per_side)
     if isinstance(w, ContourError):
@@ -190,31 +203,20 @@ def winding_number(f, region: Region, n_per_side: int = 16) -> int:
     return w
 
 
-def _winding_jittered(f, region: Region, max_tries: int = 6) -> tuple[Region, int]:
-    """Winding number with small boundary perturbations when a zero sits on it."""
-    pad = 0.0
-    for _ in range(max_tries):
-        r = Region(
-            region.re_min - pad, region.re_max + pad,
-            region.im_min - pad, region.im_max + pad,
-        )
-        try:
-            return r, winding_number(f, r)
-        except ContourError:
-            pad = region.size * 1e-3 if pad == 0 else pad * 2.7
-    raise ContourError(f"could not compute a clean winding number over {region}")
-
-
-def _derivative(f, k: complex, h: float) -> complex:
-    """Five-point central difference f'(k), error O(h^4)."""
-    return (-f(k + 2 * h) + 8 * f(k + h) - 8 * f(k - h) + f(k - 2 * h)) / (12 * h)
+def _derivative(f, k: complex, h: float, log_scale: float) -> complex:
+    """Five-point central difference f'(k) / e^log_scale, error O(h^4), of
+    f = m e^L given as k -> (m, L): each sample enters as m e^{L - log_scale}."""
+    a, b, c, d = (m * math.exp(ls - log_scale)
+                  for m, ls in map(f, (k + 2 * h, k + h, k - h, k - 2 * h)))
+    return (-a + 8 * b - 8 * c + d) / (12 * h)
 
 
 def _newton(f, k0: complex, leash: float, rtol: float = 1e-13) -> complex | None:
+    """Newton from k0 for a zero of f, given as k -> (m, L); None off the leash."""
     k = k0
     for _ in range(60):
-        fk = f(k)
-        d = _derivative(f, k, 5e-7 * max(1.0, abs(k)))
+        fk, log_scale = f(k)
+        d = _derivative(f, k, 5e-7 * max(1.0, abs(k)), log_scale)
         if d == 0:
             return None
         step = fk / d
@@ -239,14 +241,19 @@ def find_resonances(
     """
     if region.re_min < 0 or region.im_max > 0:
         raise ValueError("search region must lie in Re k >= 0, Im k <= 0")
-    # keep the contour away from the degenerate point k = 0
-    re_min = max(region.re_min, 1e-9)
-    outer = Region(re_min, region.re_max, region.im_min, region.im_max)
-
-    def f(k):
-        return jost(pot, scale, k).j_plus
-
-    outer, total = _winding_jittered(f, outer)
+    f = partial(_jplus, pot, scale)
+    # keep the contour away from the degenerate point k = 0, and pad it when
+    # a zero of Jplus sits on it
+    re_min, pad = max(region.re_min, 1e-9), 0.0
+    for _ in range(6):
+        outer = Region(re_min - pad, region.re_max + pad, region.im_min - pad, region.im_max + pad)
+        try:
+            total = winding_number(f, outer)
+            break
+        except ContourError:
+            pad = outer.size * 1e-3 if pad == 0 else pad * 2.7
+    else:
+        raise ContourError(f"could not compute a clean winding number over {region}")
     roots: list[complex] = []
     level: list[tuple[Region, int]] = [(outer, total)]
     while level:
@@ -323,17 +330,17 @@ def _split_level(f, cells: list[tuple[Region, int]]) -> list[tuple[Region, int]]
 
 def _build_state(pot: Potential, scale: PhysicalScale, k_pole: complex, kind: str) -> GamowState:
     sol = solve_regular(pot, scale, k_pole)
-    j3, j4 = sol.exterior_amplitudes
+    j3, j4, log_scale = _exterior(sol)
+    sol = _relative(sol, log_scale)
     # the residual floor is set by the largest intermediate in the transfer
-    # chain (under-barrier values can dwarf the exterior coefficients), so
-    # scale the check by it rather than by |J3| alone; chi'/k puts the slope
-    # in the units of an amplitude
-    local = max(abs(j3), 1e-30)
-    for chi, dchi, ls in zip(sol.chi, sol.dchi, sol.log_scale):
-        s = math.exp(min(ls, 700.0))
-        local = max(local, abs(chi) * s, abs(dchi / k_pole) * s)
+    # chain (under-barrier values can dwarf the exterior coefficients), not
+    # by |J3| alone; chi'/k puts the slope in the units of an amplitude, and
+    # all are in units of e^L, which no record exceeds
+    local = max([abs(j3)] + [max(abs(chi), abs(dchi / k_pole)) * math.exp(ls)
+                             for chi, dchi, ls in zip(sol.chi, sol.dchi, sol.log_scale)])
     if abs(j4) > POLE_RESIDUAL_RTOL * local:
-        raise ValueError(f"k={k_pole} is not a zero of Jplus: |J4|={abs(j4):.3e}")
+        raise ValueError(f"k={k_pole} is not a zero of Jplus: "
+                         f"|J4| is {abs(j4) / local:.3e} of the local scale")
     norm_sq = residue_norm(pot, scale, k_pole)
     norm = cmath.sqrt(norm_sq)
     return GamowState(
@@ -361,18 +368,16 @@ def residue_norm(pot: Potential, scale: PhysicalScale, k_pole: complex) -> compl
     The contour value (trapezoid on a circle, spectrally accurate) must agree
     with i*Jminus/Jplus' to RESIDUE_AGREEMENT_RTOL or the residue is declared
     ill-conditioned.  The contour is one batched S-matrix evaluation, which
-    raises PoleError if any of its points does, and does not overflow.
+    raises PoleError if any of its points does; neither method overflows.
     """
     k_pole = complex(k_pole)
     r0 = _CONTOUR_RADIUS * max(1.0, abs(k_pole))
     svals = s_matrix(pot, scale, k_pole + r0 * _CONTOUR).s
     res_contour = (r0 / _CONTOUR.size) * np.sum(svals * _CONTOUR)
 
-    def jp(k):
-        return jost(pot, scale, k).j_plus
-
-    djp = _derivative(jp, k_pole, 1e-5 * max(1.0, abs(k_pole)))
-    res_deriv = jost(pot, scale, k_pole).j_minus / djp
+    jp, log_scale = _scaled_pair(solve_regular(pot, scale, k_pole))
+    djp = _derivative(partial(_jplus, pot, scale), k_pole, 1e-5 * max(1.0, abs(k_pole)), log_scale)
+    res_deriv = jp.j_minus / djp
 
     scale_ref = max(abs(res_contour), abs(res_deriv))
     if abs(res_contour - res_deriv) > RESIDUE_AGREEMENT_RTOL * scale_ref:
@@ -386,16 +391,6 @@ def residue_norm(pot: Potential, scale: PhysicalScale, k_pole: complex) -> compl
 def gamow_eigenfunction(state: GamowState, r):
     """Piecewise Gamow eigenfunction; the tail is exactly norm * e^{i k r}."""
     rs = np.asarray(r, dtype=float)
-    scalar = rs.ndim == 0
-    rs = np.atleast_1d(rs)
-    if np.any(rs < 0):
-        raise ValueError("radius must be nonnegative")
-    out = np.empty(rs.shape, dtype=complex)
     b = state.pot.outer_radius
-    inner = rs <= b
-    if inner.any():
-        out[inner] = state.prefactor * evaluate_chi(state.sol, rs[inner])
-    tail = ~inner
-    if tail.any():
-        out[tail] = state.norm * np.exp(1j * state.k_pole * rs[tail])
-    return out[0] if scalar else out
+    chi = state.prefactor * evaluate_chi(state.sol, np.minimum(rs, b))
+    return np.where(rs <= b, chi, state.norm * np.exp(1j * state.k_pole * rs))[()]

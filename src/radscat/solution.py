@@ -21,7 +21,8 @@ One function, ``solve_regular``, walks the runs (``_walk``) for one complex k
 with every layer's wavenumber from one rule (``_wavenumbers``).  It keeps
 per-layer columns (q, r_left, chi, chi', log scale): ``evaluate_chi`` and
 the Gamow states read them all, ``spectral`` the exterior's, fitted as
-mantissas (J3, J4)/e^L with one real L (``_exterior``, ``_unscale``).
+mantissas (J3, J4)/e^L with one real L (``_exterior``); chi / e^L is
+``_relative``, and only ``_unscale`` forms J3, J4 themselves.
 """
 
 from __future__ import annotations
@@ -120,6 +121,12 @@ def _unscale(k, a, b, log_scale):
     if not (cmath.isfinite(a) and cmath.isfinite(b)):
         raise OverflowError(f"Jost functions overflow at k={k}")
     return a, b
+
+
+def _relative(sol, log_scale):
+    """The solution divided by e^log_scale: every record's log scale less it."""
+    return LayerSolution(sol.k, sol.pot, sol.q, sol.r_left, sol.chi, sol.dchi,
+                         tuple(ls - log_scale for ls in sol.log_scale))
 
 
 def _wavenumbers(pot: Potential, scale: PhysicalScale, k):

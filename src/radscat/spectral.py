@@ -33,10 +33,12 @@ differ only by the energy-dependent factor in front of it
     out:            sqrt(rho-(k)) chi(r;k) / Jminus(k)
 
 Scaling.  One solve gives the pair divided by e^L, with one real L
-(``_scaled_pair``).  S and the family factors are ratios of it, and the
-eigenfunctions move e^L onto chi, so a tall barrier or a deep complex k
-leaves them finite.  Only ``jost`` multiplies by e^L, and raises
-OverflowError for a scalar k where J+- leave the float range.
+(``_scaled_pair``).  S, the family factors, the measures and the resonance
+finder use it and L apart, and the eigenfunctions move e^L onto chi, so a
+tall barrier or a deep complex k leaves them finite.  Only ``jost`` and
+``exterior_amplitudes`` multiply by e^L, raising OverflowError for a scalar k
+where J+- leave the float range; inside the library only the criterion reads
+them, so that its overflowed lanes are counted.
 
 Arrays.  ``jost`` and ``s_matrix`` take either one k or a 1-d array of k;
 ``solution.solve_regular`` propagates an array in one pass, and the pair has
@@ -56,7 +58,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .potential import PhysicalScale, Potential, sqrt_branch
-from .solution import LayerSolution, _exterior, _unscale, evaluate_chi, solve_regular
+from .solution import LayerSolution, _exterior, _relative, _unscale, evaluate_chi, solve_regular
 
 
 class Family(str, enum.Enum):
@@ -152,8 +154,9 @@ def measure(kind: Family, pot: Potential, scale: PhysicalScale, k: float) -> flo
     k = float(k)
     if k <= 0:
         raise ValueError(f"measure defined for real k > 0, got {k}")
-    if kind == Family.STANDING_WAVE:
-        return standing_density(scale, jost(pot, scale, k)).real
+    if kind == Family.STANDING_WAVE:  # rho has degree -2 in the pair, and L >= 0
+        jp, log_scale = _scaled_pair(solve_regular(pot, scale, k))
+        return standing_density(scale, jp).real * math.exp(-2 * log_scale)
     return scattering_density(scale, k)
 
 
@@ -168,9 +171,7 @@ def eigenfunction(kind: Family, pot: Potential, scale: PhysicalScale, energy: fl
         raise ValueError(f"physical spectrum is (0, inf); got E={energy}")
     sol = solve_regular(pot, scale, scale.wavenumber(energy).real)
     jp, log_scale = _scaled_pair(sol)  # the factor has degree -1 in the pair
-    sol = LayerSolution(sol.k, sol.pot, sol.q, sol.r_left, sol.chi, sol.dchi,
-                        tuple(ls - log_scale for ls in sol.log_scale))
-    return family_factor(kind, scale, jp) * evaluate_chi(sol, r)
+    return family_factor(kind, scale, jp) * evaluate_chi(_relative(sol, log_scale), r)
 
 
 def energy_transform(

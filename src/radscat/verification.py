@@ -31,8 +31,18 @@ def rk_oracle(pot, scale, k, r_samples, step: float | None = None):
     Initial data chi(0)=0, chi'(0)=q0 reproduce the sin(q0 r) normalization
     of the innermost layer.  Fixed step, O(h^4); integration segments are
     split at breakpoints so the piecewise-constant potential is smooth within
-    every step.
+    every step.  Where chi leaves the float range it comes out non-finite.
     """
+    chi, log_scale = _rk_scaled(pot, scale, k, r_samples, step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = chi * np.exp(log_scale)
+    return out if np.asarray(r_samples).ndim else out[0]
+
+
+def _rk_scaled(pot, scale, k, r_samples, step):
+    """``rk_oracle``'s chi as (chi / e^ls, ls) at every radius: (chi, chi')
+    are divided by |chi| whenever it passes 1e100, and ls keeps the sum of
+    the logs, so a tall barrier does not overflow."""
     k = complex(k)
     h_want = step if step is not None else 1e-3 / max(1.0, abs(k))
     rs = np.atleast_1d(np.asarray(r_samples, dtype=float))
@@ -47,12 +57,12 @@ def rk_oracle(pot, scale, k, r_samples, step: float | None = None):
     # nodes: 0, all breakpoints below max radius, and the sample radii
     stops = sorted(set([0.0] + list(sorted_rs) +
                        [b for b in pot.breakpoints if b < sorted_rs[-1]]))
-    chi, dchi = 0j, complex(q0) if q0 != 0 else 1 + 0j
-    values = {0.0: chi}
+    chi, dchi, ls = 0j, complex(q0) if q0 != 0 else 1 + 0j, 0.0
+    values = {0.0: (chi, ls)}
     for r0, r1 in zip(stops, stops[1:]):
         seg = r1 - r0
         n = max(1, int(math.ceil(seg / h_want)))
-        h = seg / n
+        h = float(seg / n)
         layer = pot.layer_of((r0 + r1) / 2)
         c = kappa * pot.height(layer) - k * k  # chi'' = c * chi
 
@@ -63,18 +73,22 @@ def rk_oracle(pot, scale, k, r_samples, step: float | None = None):
             k4v, k4d = dchi + h * k3d, c * (chi + h * k3v)
             chi = chi + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
             dchi = dchi + h / 6 * (k1d + 2 * k2d + 2 * k3d + k4d)
-        values[r1] = chi
+            if abs(chi) > 1e100:
+                s = abs(chi)
+                chi, dchi, ls = chi / s, dchi / s, ls + math.log(s)
+        values[r1] = chi, ls
     result = np.array([values[r] for r in sorted_rs])
     out = np.empty_like(result)
     out[order] = result
-    return out if np.asarray(r_samples).ndim else out[0]
+    return out[:, 0], out[:, 1].real
 
 
 def rk_oracle_s(pot, scale, k: float) -> complex:
     """S = -J3/J4 at real k > 0, with chi = J3 e^{ikr} + J4 e^{-ikr} of ``rk_oracle``
     fitted at r = b and b + pi/(2k), where e^{+-ikr} have turned by +-i."""
     b = pot.outer_radius
-    c1, c2 = map(complex, rk_oracle(pot, scale, k, [b, b + math.pi / (2 * k)]))
+    (c1, c2), (l1, l2) = _rk_scaled(pot, scale, k, [b, b + math.pi / (2 * k)], None)
+    c1, c2 = complex(c1), complex(c2) * math.exp(l2 - l1)  # the fit needs only c2 / c1
     # the 2x2 solve: J3 e^{ikb} = (c1 - i c2) / 2, J4 e^{-ikb} = (c1 + i c2) / 2
     return -cmath.exp(-2j * k * b) * (c1 - 1j * c2) / (c1 + 1j * c2)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import radscat.resonance
-from radscat import JostPair, PhysicalScale, make_shell
+from radscat import PhysicalScale, make_shell
 
 
 @pytest.fixture(scope="session")
@@ -27,9 +27,10 @@ def rng():
 
 @pytest.fixture
 def double_zero_jost(monkeypatch):
-    """The finder's ``jost`` replaced by a stub whose Jplus = (k - z0)^2 has a
-    double zero at z0 = 2.3 - 0.4i.  No Jost function of a real potential has
-    one off the axes, so only a stub reaches the unresolved-cluster path."""
+    """The finder's scaled Jplus (``_jplus``) replaced by a stub whose
+    Jplus = (k - z0)^2, with L = 0, has a double zero at z0 = 2.3 - 0.4i.  No
+    Jost function of a real potential has one off the axes, so only a stub
+    reaches the unresolved-cluster path."""
     z0 = 2.3 - 0.4j
-    monkeypatch.setattr(radscat.resonance, "jost",
-                        lambda pot, scale, k: JostPair(k, (k - z0) ** 2, 1.0))
+    monkeypatch.setattr(radscat.resonance, "_jplus",
+                        lambda pot, scale, k: ((k - z0) ** 2, 0.0))

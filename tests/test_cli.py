@@ -165,15 +165,6 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err
 
-    def test_contour_overflow_is_numerical(self, capsys, tmp_path):
-        # Jplus of the shell leaves the float range on the region's bottom
-        # edge, at Im k = -400, and stays finite on its top edge
-        cfg = self.write_cfg(tmp_path, resonances={
-            "region": {"re_min": 0.05, "re_max": 6.0, "im_min": -400.0, "im_max": -1e-6}})
-        code, out, err = run(capsys, "resonances", "--config", cfg)
-        assert code == EXIT_NUMERICAL
-        assert "numerical failure" in err and out == ""
-
     @pytest.mark.parametrize("command, section, err_part", [
         ("smatrix", {"smatrix": {"k_min": 0.5, "k_max": 6.0, "n_k": -1}}, "n_k"),
         ("smatrix", {"smatrix": {"k_min": 0.5, "k_max": 6.0, "n_k": 0}}, "n_k"),
@@ -365,6 +356,31 @@ class TestResonancesCommand:
             assert float(row[cols.index("re_k")]) == pytest.approx(st.k_pole.real, rel=1e-10)
             assert float(row[cols.index("im_k")]) == pytest.approx(st.k_pole.imag, rel=1e-8)
             assert float(row[cols.index("gamma_n")]) == pytest.approx(st.gamma, rel=1e-8)
+
+    def test_deep_region_returns_the_poles(self, capsys, tmp_path, shell, scale):
+        # J+- of the shell leave the float range on the region's bottom edge,
+        # at Im k = -400; the finder's scaled Jplus does not
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SHELL_CFG, resonances={"region": {
+            "re_min": 0.05, "re_max": 6.0, "im_min": -400.0, "im_max": -1e-6}})))
+        code, out, _ = run(capsys, "resonances", "--config", str(cfg))
+        assert code == EXIT_OK
+        cols, rows = parse_csv(out)
+        states = find_resonances(shell, scale, Region(0.05, 6.0, -2.0, -1e-6))
+        assert len(rows) == len(states) == 3
+        for row, st in zip(rows, states):
+            assert float(row[cols.index("re_k")]) == pytest.approx(st.k_pole.real, rel=1e-11)
+            assert float(row[cols.index("im_k")]) == pytest.approx(st.k_pole.imag, rel=1e-11)
+
+    def test_tall_barrier_has_no_rows(self, capsys, tmp_path):
+        # J+- of the 1e6 shell overflow at k = 0.05 - 2i, and its poles below
+        # Re k = 6 lie within e^-1000 of the real axis, above the region
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SHELL_CFG, heights=[0.0, 1e6])))
+        code, out, _ = run(capsys, "resonances", "--config", str(cfg))
+        assert code == EXIT_OK
+        cols, rows = parse_csv(out)
+        assert cols[:3] == ["n", "re_k", "im_k"] and rows == []
 
     def test_missed_roots_is_numerical(self, capsys, tmp_path, double_zero_jost):
         cfg = tmp_path / "cfg.json"

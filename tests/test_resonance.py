@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 
@@ -87,7 +88,7 @@ class TestFinder:
         # taller barriers trap harder; widths shrink toward the real spectrum
         # k_1 -> pi/a of the closed box
         from radscat import make_shell
-        from radscat.resonance import _newton
+        from radscat.resonance import _jplus, _newton
 
         gammas = {}
         poles = {}
@@ -101,7 +102,7 @@ class TestFinder:
         # evaluation noise of the huge under-barrier Jost function), so polish
         # from the real axis instead of contour counting
         pot = make_shell(500.0, 1.0, 2.0, scale)
-        k1 = _newton(lambda k: jost(pot, scale, k).j_plus, 3.0, leash=1.0)
+        k1 = _newton(functools.partial(_jplus, pot, scale), 3.0, leash=1.0)
         assert k1 is not None
         poles[500.0] = k1
         gammas[500.0] = 2 * abs((k1 ** 2).imag)
@@ -141,10 +142,27 @@ class TestContourFailurePaths:
             winding_number(f, Region(rm, region.re_max, im, region.im_max))
         assert_same_roots(find_resonances(shell, scale, region), states[1:])
 
-    def test_overflowing_lane_raises(self, shell, scale):
-        # Jplus leaves the float range along the bottom edge, Im k = -400
+    def test_overflowing_lane_raises(self):
+        def f(k):
+            return np.where(k.imag < -1.0, np.inf, k - 2.0)
+        with pytest.raises(OverflowError, match=r"not finite at k=\(0.05-2j\)"):
+            winding_number(f, Region(0.05, 6.0, -2.0, -1e-6))
+
+    def test_deep_region_finds_the_poles(self, states, shell, scale):
+        # J+- leave the float range along the bottom edge, Im k = -400, where
+        # the scaled Jplus the finder searches does not
         with pytest.raises(OverflowError):
-            find_resonances(shell, scale, Region(0.05, 6.0, -400.0, -1e-6))
+            jost(shell, scale, 0.05 - 400j)
+        assert_same_roots(find_resonances(shell, scale, Region(0.05, 6.0, -400.0, -1e-6)),
+                          states)
+
+    def test_tall_barrier_has_no_poles(self, scale):
+        # J+- of the 1e6 shell overflow at the corner k = 0.05 - 2i, and its
+        # poles below Re k = 6 lie within e^-1000 of the real axis, above the
+        # region's top edge
+        from radscat import make_shell
+
+        assert find_resonances(make_shell(1e6, 1.0, 2.0, scale), scale, SEARCH) == []
 
     def test_max_states_truncates_with_warning(self, states, shell, scale):
         with pytest.warns(UserWarning, match="truncating 3 resonances to max_states=1"):

@@ -13,7 +13,9 @@ from radscat import (
     free_overlap_kernel,
     grid_scan_roots,
     jost,
+    make_shell,
     rk_oracle,
+    s_matrix,
     shell_jost_plus_grid,
     smeared_delta_check,
     solve_regular,
@@ -56,6 +58,15 @@ class TestRkOracle:
     def test_fitted_s_of_the_free_case_is_one(self, free, scale):
         for k in (0.5, 3.0, 9.0):
             assert abs(rk_oracle_s(free, scale, k) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("v0", [5e5, 1e6, 1e7])
+    def test_fitted_s_of_tall_shells(self, scale, v0):
+        # chi grows like e^{sqrt(v0)} through the barrier, past the float
+        # range; the fit reads only the ratio of two exterior values
+        pot = make_shell(v0, 1.0, 2.0, scale)
+        ks = np.linspace(0.5, 10.0, 8)  # the k of verify's s_oracle row
+        oracle = np.array([rk_oracle_s(pot, scale, k) for k in ks])
+        assert np.max(np.abs(s_matrix(pot, scale, ks).s - oracle)) <= 1e-9
 
 
 class TestSmearedDelta:
