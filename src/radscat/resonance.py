@@ -1,19 +1,19 @@
 """Gamow resonance states: zeros of Jplus in the lower half k-plane.
 
 The finder certifies its roots by an argument-principle winding count over
-the search rectangle, and refines them by quadtree subdivision and Newton.
-It searches Jplus / e^L with the real L of one solve (``_jplus``), finite
-wherever the kernel is: the contour pass compares log f = log(Jplus / e^L) + L
-between segment ends, and Newton's stencil and the residue's Jminus / Jplus'
-take each sample relative to the L of the center; no function here un-scales
-J+-.  One batched contour pass (``_windings``) serves a set of rectangles:
-one call of f on all their edge points, then, depth by depth, one on the
-midpoints of all unsettled segments.  The cells of a quadtree level that need
-splitting share one pass, and those whose split lines hit a zero retry at the
-next split fraction in one more, as ZEAL batches the contours of a level
-(Kravanja, Van Barel & Haegemans, Comput. Phys. Commun. 124 (2000) 212).
-Residue normalizations are computed two independent ways (contour integral
-of S and the derivative formula) and must agree.
+the search rectangle, and refines them by quadtree subdivision and secant
+steps.  It searches Jplus k / q0 / e^L with the real L of one solve
+(``_jplus``), finite wherever the kernel is: the contour pass compares
+log f = log(Jplus / e^L) + L between segment ends, and the secant and the
+residue's Jminus / Jplus' take each value relative to a common L; no function
+here un-scales J+-.  One batched contour pass (``_windings``) serves a set of
+rectangles: one call of f on all their edge points, then, depth by depth, one
+on the midpoints of all unsettled segments.  The cells of a quadtree level
+that need splitting share one pass, and those whose split lines hit a zero
+retry at the next split fraction in one more, as ZEAL batches the contours of
+a level (Kravanja, Van Barel & Haegemans, Comput. Phys. Commun. 124 (2000)
+212).  Residue normalizations are computed two independent ways (contour
+integral of S and the derivative formula) and must agree.
 """
 
 from __future__ import annotations
@@ -113,9 +113,17 @@ class GamowState:
 
 
 def _jplus(pot: Potential, scale: PhysicalScale, k):
-    """(Jplus / e^L, L) at k or at a 1-d array of k: what the finder searches."""
-    jp, log_scale = _scaled_pair(solve_regular(pot, scale, k))
-    return jp.j_plus, log_scale
+    """(Jplus / e^L, L) at k or at a 1-d array of k, times ``_core`` unless the core is free."""
+    sol = solve_regular(pot, scale, k)
+    jp, log_scale = _scaled_pair(sol)
+    return (jp.j_plus * _core(sol) if pot.heights[0] else jp.j_plus), log_scale
+
+
+def _core(sol: LayerSolution):
+    """k / q0, k where q0 = 0: Jplus carries the q0 of the sin(q0 r) start, whose sign
+    flips across its branch cut, and k cancels the pole of Jplus / q0 at k = 0."""
+    q0 = sol.q[0]
+    return sol.k / (np.where(q0 == 0, 1, q0) if isinstance(q0, np.ndarray) else q0 or 1)
 
 
 def _lanes(f, z: np.ndarray) -> np.ndarray:
@@ -203,24 +211,18 @@ def winding_number(f, region: Region, n_per_side: int = 16) -> int:
     return w
 
 
-def _derivative(f, k: complex, h: float, log_scale: float) -> complex:
-    """Five-point central difference f'(k) / e^log_scale, error O(h^4), of
-    f = m e^L given as k -> (m, L): each sample enters as m e^{L - log_scale}."""
-    a, b, c, d = (m * math.exp(ls - log_scale)
-                  for m, ls in map(f, (k + 2 * h, k + h, k - h, k - 2 * h)))
-    return (-a + 8 * b - 8 * c + d) / (12 * h)
-
-
-def _newton(f, k0: complex, leash: float, rtol: float = 1e-13) -> complex | None:
-    """Newton from k0 for a zero of f, given as k -> (m, L); None off the leash."""
-    k = k0
+def _secant(f, k0: complex, leash: float, rtol: float = 1e-13) -> complex | None:
+    """Secant from k0 and k0 + 1e-5 max(1, |k0|) to a zero of f: k -> (m, L); None off
+    the leash or on a zero denominator.  Each ratio reads m e^{L - M}, M the larger L."""
+    k1, (m1, l1), k = k0, f(k0), k0 + 1e-5 * max(1.0, abs(k0))
     for _ in range(60):
-        fk, log_scale = f(k)
-        d = _derivative(f, k, 5e-7 * max(1.0, abs(k)), log_scale)
-        if d == 0:
+        m, ls = f(k)
+        top = max(ls, l1)
+        a, b = m1 * math.exp(l1 - top), m * math.exp(ls - top)
+        if a == b:
             return None
-        step = fk / d
-        k = k - step
+        step = b * (k - k1) / (b - a)
+        k1, m1, l1, k = k, m, ls, k - step
         if abs(k - k0) > leash:
             return None
         if abs(step) <= rtol * max(1e-30, abs(k)):
@@ -262,7 +264,7 @@ def find_resonances(
             if w == 0:
                 continue
             if w == 1:
-                root = _newton(f, rect.center, leash=4 * rect.size)
+                root = _secant(f, rect.center, leash=4 * rect.size)
                 if root is not None and rect.contains(root):
                     roots.append(root)
                     continue
@@ -280,10 +282,8 @@ def find_resonances(
         if all(abs(r - u) > 1e-8 * (1 + abs(r)) for u in unique):
             unique.append(r)
     if len(unique) != total:
-        raise MissedRootsError(
-            f"argument principle counts {total} zeros in {outer} but "
-            f"{len(unique)} were refined: {unique}"
-        )
+        raise MissedRootsError(f"argument principle counts {total} zeros in {outer} but "
+                               f"{len(unique)} were refined: {unique}")
     if len(unique) > max_states:
         warnings.warn(f"truncating {len(unique)} resonances to max_states={max_states}")
         unique = unique[:max_states]
@@ -323,8 +323,7 @@ def _split_level(f, cells: list[tuple[Region, int]]) -> list[tuple[Region, int]]
                 retry.append(cell)
         cells = retry
     if cells:
-        rect, w = cells[0]
-        raise MissedRootsError(f"could not partition winding {w} over {rect}")
+        raise MissedRootsError(f"could not partition winding {cells[0][1]} over {cells[0][0]}")
     return quads
 
 
@@ -375,9 +374,12 @@ def residue_norm(pot: Potential, scale: PhysicalScale, k_pole: complex) -> compl
     svals = s_matrix(pot, scale, k_pole + r0 * _CONTOUR).s
     res_contour = (r0 / _CONTOUR.size) * np.sum(svals * _CONTOUR)
 
-    jp, log_scale = _scaled_pair(solve_regular(pot, scale, k_pole))
-    djp = _derivative(partial(_jplus, pot, scale), k_pole, 1e-5 * max(1.0, abs(k_pole)), log_scale)
-    res_deriv = jp.j_minus / djp
+    sol = solve_regular(pot, scale, k_pole)
+    jp, log_scale = _scaled_pair(sol)
+    h = 1e-5 * max(1.0, abs(k_pole))
+    a, b = (m * math.exp(ls - log_scale)
+            for m, ls in (_jplus(pot, scale, k_pole + h), _jplus(pot, scale, k_pole - h)))
+    res_deriv = jp.j_minus * _core(sol) * (2 * h) / (a - b)
 
     scale_ref = max(abs(res_contour), abs(res_deriv))
     if abs(res_contour - res_deriv) > RESIDUE_AGREEMENT_RTOL * scale_ref:

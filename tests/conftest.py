@@ -34,3 +34,13 @@ def double_zero_jost(monkeypatch):
     z0 = 2.3 - 0.4j
     monkeypatch.setattr(radscat.resonance, "_jplus",
                         lambda pot, scale, k: ((k - z0) ** 2, 0.0))
+
+
+@pytest.fixture
+def branch_cut_jost(monkeypatch):
+    """The finder's scaled Jplus replaced by sqrt(k - z0), with L = 0, whose
+    branch cut runs from z0 = 2.3 - 0.4i to Re k = -inf: every padded contour
+    around a region that holds z0 crosses it, so phase tracking never settles."""
+    z0 = 2.3 - 0.4j
+    monkeypatch.setattr(radscat.resonance, "_jplus",
+                        lambda pot, scale, k: (np.sqrt(k - z0), 0.0))

@@ -248,7 +248,7 @@ def test_10_parseval(shell, scale):
 def test_11_infinite_barrier_limit(scale):
     from functools import partial
 
-    from radscat.resonance import _jplus, _newton
+    from radscat.resonance import _jplus, _secant
 
     gammas = {}
     for v0 in (8.0, 50.0):
@@ -256,7 +256,7 @@ def test_11_infinite_barrier_limit(scale):
         st = find_resonances(pot, scale, Region(0.5, 4.0, -1.0, -1e-9))
         gammas[v0] = st[0].gamma
     pot = make_shell(500.0, 1.0, 2.0, scale)
-    k1 = _newton(partial(_jplus, pot, scale), 3.0, leash=1.0)
+    k1 = _secant(partial(_jplus, pot, scale), 3.0, leash=1.0)
     gammas[500.0] = 2 * abs((k1 ** 2).imag)
     monotone = gammas[8.0] > gammas[50.0] > gammas[500.0]
     re_ok = abs(k1.real - math.pi) <= 0.05 * math.pi

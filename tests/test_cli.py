@@ -157,13 +157,11 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "config error" in err and out == ""
 
-    def test_contour_failure_is_numerical(self, capsys, tmp_path):
-        # Jplus has a real zero at k = sqrt(5) on the region's upper edge
-        cfg = self.write_cfg(tmp_path, breakpoints=[1.0], heights=[5.0], resonances={
-            "region": {"re_min": 1.0, "re_max": 3.0, "im_min": -1.0, "im_max": 0.0}})
-        code, _, err = run(capsys, "resonances", "--config", cfg)
+    def test_contour_failure_is_numerical(self, capsys, shell_cfg, branch_cut_jost):
+        code, out, err = run(capsys, "resonances", "--config", shell_cfg)
         assert code == EXIT_NUMERICAL
-        assert "numerical failure" in err
+        assert "numerical failure: could not compute a clean winding number" in err
+        assert out == ""
 
     @pytest.mark.parametrize("command, section, err_part", [
         ("smatrix", {"smatrix": {"k_min": 0.5, "k_max": 6.0, "n_k": -1}}, "n_k"),
@@ -377,6 +375,21 @@ class TestResonancesCommand:
         # Re k = 6 lie within e^-1000 of the real axis, above the region
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(SHELL_CFG, heights=[0.0, 1e6])))
+        code, out, _ = run(capsys, "resonances", "--config", str(cfg))
+        assert code == EXIT_OK
+        cols, rows = parse_csv(out)
+        assert cols[:3] == ["n", "re_k", "im_k"] and rows == []
+
+    @pytest.mark.parametrize("im_max", [0.0, -1e-3])
+    def test_real_zero_of_jplus_on_the_edge_has_no_rows(self, capsys, tmp_path, im_max):
+        # Jplus carries the q0 of the core's sin(q0 r) start, which vanishes
+        # at k = sqrt(5) on the upper edge when im_max = 0; Jplus k / q0,
+        # which the finder searches, does not
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SHELL_CFG, breakpoints=[1.0], heights=[5.0],
+                                       resonances={"region": {
+                                           "re_min": 1.0, "re_max": 3.0,
+                                           "im_min": -1.0, "im_max": im_max}})))
         code, out, _ = run(capsys, "resonances", "--config", str(cfg))
         assert code == EXIT_OK
         cols, rows = parse_csv(out)

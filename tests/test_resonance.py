@@ -24,7 +24,8 @@ from radscat import (
     residue_norm,
     s_matrix,
 )
-from radscat.resonance import ContourError, winding_number
+import radscat.resonance
+from radscat.resonance import ContourError, _jplus, _secant, winding_number
 from radscat.verification import grid_scan_roots
 
 SEARCH = Region(0.05, 6.0, -2.0, -1e-6)
@@ -88,7 +89,6 @@ class TestFinder:
         # taller barriers trap harder; widths shrink toward the real spectrum
         # k_1 -> pi/a of the closed box
         from radscat import make_shell
-        from radscat.resonance import _jplus, _newton
 
         gammas = {}
         poles = {}
@@ -102,13 +102,83 @@ class TestFinder:
         # evaluation noise of the huge under-barrier Jost function), so polish
         # from the real axis instead of contour counting
         pot = make_shell(500.0, 1.0, 2.0, scale)
-        k1 = _newton(functools.partial(_jplus, pot, scale), 3.0, leash=1.0)
+        k1 = _secant(functools.partial(_jplus, pot, scale), 3.0, leash=1.0)
         assert k1 is not None
         poles[500.0] = k1
         gammas[500.0] = 2 * abs((k1 ** 2).imag)
 
         assert gammas[8.0] > gammas[50.0] > gammas[500.0]
         assert abs(k1.real - math.pi) <= 0.05 * math.pi
+
+    def test_secant_ignores_how_f_is_scaled(self):
+        # the same f as (m, 0) and as (m 2^-1154, 1154 ln 2), about
+        # (m e^-800, 800): the power of two keeps the mantissas exact, e^L
+        # alone would overflow, and each ratio reads the two values relative
+        # to the larger L
+        def g(k):
+            return (k - (2.3 - 0.4j)) * (k + 1.7) * 2.0 ** 600
+
+        def record(path, scaled):
+            def f(k):
+                path.append(k)
+                if scaled:
+                    return g(k) * 2.0 ** -577 * 2.0 ** -577, 1154 * math.log(2.0)
+                return g(k), 0.0
+            return f
+
+        plain, scaled = [], []
+        root = _secant(record(plain, False), 3.0, leash=4.0)
+        assert root == pytest.approx(2.3 - 0.4j, abs=1e-13)
+        assert _secant(record(scaled, True), 3.0, leash=4.0) == pytest.approx(root, abs=1e-15)
+        assert len(plain) == len(scaled) > 3
+        assert all(abs(a - b) <= 1e-15 * abs(a) for a, b in zip(plain, scaled))
+
+    @pytest.mark.parametrize("pot, region, most", [
+        (Potential((1.0, 2.0), (0.0, 8.0)), Region(1e-6, 6.0, -2.0, -1e-6), 64),
+        (Potential((1.0, 1.5), (5.0, 9.0)), Region(0.5, 6.0, -2.0, -1e-3), 48),
+    ])
+    def test_scalar_solve_count(self, monkeypatch, scale, pot, region, most):
+        # one scalar solve per secant iteration, four per state for
+        # _build_state and the residue's derivative method; the winding
+        # passes solve arrays
+        scalar = []
+        solve = radscat.resonance.solve_regular
+
+        def counting(pot, scale, k):
+            if np.ndim(k) == 0:
+                scalar.append(k)
+            return solve(pot, scale, k)
+
+        monkeypatch.setattr(radscat.resonance, "solve_regular", counting)
+        assert find_resonances(pot, scale, region)
+        assert len(scalar) <= most
+
+
+class TestPositiveCore:
+    """Jplus of a core of height V0 > 0 carries q0 = sqrt(k^2 - kappa V0),
+    which vanishes on the real axis; the finder searches Jplus k / q0."""
+
+    POT = Potential((1.0, 1.5), (5.0, 9.0))
+
+    def test_real_zero_of_q0_on_the_edge(self, scale):
+        # im_max = 0 puts k = sqrt(5), where Jplus vanishes, on the top edge
+        want = find_resonances(self.POT, scale, Region(0.5, 6.0, -2.0, -1e-3))
+        got = find_resonances(self.POT, scale, Region(0.5, 6.0, -2.0, 0.0))
+        assert [s.k_pole for s in want] == pytest.approx([3.0911 - 0.1632j, 4.8364 - 0.5557j],
+                                                         abs=1e-4)
+        assert_same_roots(got, want)
+
+    def test_scaled_jplus_is_finite_where_q0_vanishes(self, scale):
+        # k = 2 makes q0 = sqrt(k^2 - 4) exactly 0, where the sin(q0 r) start
+        # becomes r; Jplus k / q0 is continuous there, in one k and in lanes
+        pot = Potential((1.0, 1.5), (4.0, 9.0))
+        m, ls = _jplus(pot, scale, 2.0)
+        assert cmath.isfinite(m) and m != 0
+        for k in (2.0 + 1e-7, 2.0 - 1e-7, 2.0 - 1e-7j):
+            mk, lk = _jplus(pot, scale, k)
+            assert abs(mk * math.exp(lk - ls) - m) <= 1e-5 * abs(m)
+        lanes, l_lanes = _jplus(pot, scale, np.array([2.0, 2.5]))
+        assert lanes[0] * math.exp(l_lanes[0] - ls) == pytest.approx(m, rel=1e-14)
 
 
 def assert_same_roots(got, want):
